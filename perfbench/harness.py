@@ -22,11 +22,14 @@ from typing import Any, Callable
 
 import numpy as np
 
-#: Blocks the throughput and read percentiles are medians over; each
-#: block holds at least ``BLOCK_READS`` reads, so its p95 has at least
-#: ten samples beyond it.
-BLOCKS = 10
-BLOCK_READS = 200
+#: Host-speed probe: the normalised figures are expressed at the host
+#: speed where one probe slice takes ``PROBE_REFERENCE_S`` (about its
+#: median on the 2-vCPU VM the benchmark was sized on), and an
+#: operation's host factor is the median probe within
+#: ``PROBE_WINDOW_S`` of its start.
+PROBE_REFERENCE_S = 2.5e-3
+PROBE_WINDOW_S = 2.0
+_PROBE_MATRIX = np.random.default_rng(0).random((120, 120))
 
 
 class CheckFailed(AssertionError):
@@ -53,8 +56,6 @@ class Op:
     end: float
     result: Any = None
     error: str | None = None
-    #: Read in the first windows after a write burst (process tier).
-    post_fence: bool = False
     #: Request id linking the op to its spans in a traced run.
     rid: int = 0
 
@@ -69,24 +70,18 @@ class RunLog:
 
     ops: list[Op] = field(default_factory=list)
     wall: float = 0.0
-    #: Index into ``ops`` where each round of the script starts.
-    rounds: list[int] = field(default_factory=list)
+    #: (time, seconds) of every host-speed probe of the measured phase.
+    probes: list[tuple[float, float]] = field(default_factory=list)
+    #: Median of the probes taken around each set-up (9 before, 9 after).
+    setup_probes: list[float] = field(default_factory=list)
     #: The :class:`~tracing.Tracer` of a traced run, else ``None``.
     tracer: Any = None
     _rid: int = 0
 
-    def mark_round(self) -> None:
-        self.rounds.append(len(self.ops))
-
-    def blocks(self) -> list[list[Op]]:
-        """Contiguous blocks of whole rounds: at most :data:`BLOCKS`,
-        each with at least :data:`BLOCK_READS` reads."""
-        starts = self.rounds or [0]
-        reads = sum(op.kind == "read" for op in self.ops)
-        n = max(1, min(BLOCKS, len(starts), reads // BLOCK_READS))
-        cuts = [starts[len(starts) * b // n] for b in range(n)]
-        cuts.append(len(self.ops))
-        return [self.ops[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    def probe(self) -> None:
+        """Time one probe slice; called between operations, never
+        inside a timed one."""
+        self.probes.append((time.perf_counter(), probe_seconds()))
 
     def next_rid(self) -> int:
         self._rid += 1
@@ -111,8 +106,7 @@ class RunLog:
         return dict(sorted(out.items()))
 
 
-def timed(log: RunLog, kind: str, verb: str, call: Callable[[], Any],
-          **extra: Any) -> Op:
+def timed(log: RunLog, kind: str, verb: str, call: Callable[[], Any]) -> Op:
     """Run one blocking operation and append it to ``log``.
 
     An operation that raises is logged with its error and counts as
@@ -128,13 +122,13 @@ def timed(log: RunLog, kind: str, verb: str, call: Callable[[], Any],
     # Only reads keep their answer: a delete returns the removed object,
     # which must not outlive the run in the log.
     op = Op(kind, verb, t0, time.perf_counter(),
-            result if kind == "read" else None, error, rid=rid, **extra)
+            result if kind == "read" else None, error, rid=rid)
     log.ops.append(op)
     return op
 
 
-def window(log: RunLog, submits: list[tuple[str, Callable[[], Any]]],
-           **extra: Any) -> list[Op]:
+def window(log: RunLog, submits: list[tuple[str, Callable[[], Any]]]
+           ) -> list[Op]:
     """Submit a window of read futures, then wait for every one of them.
 
     Each read is timed from its own submit to the moment the client
@@ -153,7 +147,7 @@ def window(log: RunLog, submits: list[tuple[str, Callable[[], Any]]],
                 future = submit()
         except Exception as exc:  # noqa: BLE001 - counted in error_rate
             slots.append(Op("read", verb, t0, time.perf_counter(), None,
-                            f"{type(exc).__name__}: {exc}", rid=rid, **extra))
+                            f"{type(exc).__name__}: {exc}", rid=rid))
             continue
         slots.append((verb, t0, rid, future))
     futures = [s[3] for s in slots if not isinstance(s, Op)]
@@ -170,7 +164,7 @@ def window(log: RunLog, submits: list[tuple[str, Callable[[], Any]]],
         result = None if exc is not None else future.result()
         error = None if exc is None else f"{type(exc).__name__}: {exc}"
         ops.append(Op("read", verb, t0, done[id(future)], result, error,
-                      rid=rid, **extra))
+                      rid=rid))
     log.ops.extend(ops)
     return ops
 
@@ -195,46 +189,88 @@ def median(values: list[float]) -> float:
     return float(statistics.median(values)) if values else 0.0
 
 
-def end_to_end(log: RunLog, setup_times: list[float], peak_rss_mb: float
-               ) -> dict[str, float]:
+def probe_seconds() -> float:
+    """Time one fixed numpy + pure-Python slice (about 2.5 ms).
+
+    It runs no code of the program, so it measures only how fast the
+    host is at that moment; no change to the program can move it.
+    """
+    t0 = time.perf_counter()
+    total = 0.0
+    for i in range(4):
+        total += float(np.sort(_PROBE_MATRIX @ _PROBE_MATRIX, axis=1)[:, i].sum())
+    for i in range(30_000):
+        total += i * 0.5
+    return time.perf_counter() - t0
+
+
+def host_factors(probes: list[tuple[float, float]],
+                 times: list[float]) -> np.ndarray:
+    """Host factor at each of ``times``: the median probe within
+    :data:`PROBE_WINDOW_S` (else the nearest probe) over
+    :data:`PROBE_REFERENCE_S`; above 1 the host was slower."""
+    at = np.array([t for t, _ in probes])
+    secs = np.array([s for _, s in probes])
+    t = np.asarray(times, dtype=np.float64)
+    lo = np.searchsorted(at, t - PROBE_WINDOW_S)
+    hi = np.searchsorted(at, t + PROBE_WINDOW_S, side="right")
+    nearest = np.clip(np.searchsorted(at, t), 0, len(at) - 1)
+    out = [
+        np.median(secs[a:b]) if b > a else secs[n]
+        for a, b, n in zip(lo, hi, nearest)
+    ]
+    return np.asarray(out, dtype=np.float64) / PROBE_REFERENCE_S
+
+
+def end_to_end(log: RunLog, setup_times: list[float], peak_rss_mb: float,
+               normalise: bool = True) -> dict[str, float]:
     """The end-to-end metric values of one measured phase.
 
-    Throughput and read percentiles are medians over blocks of whole
-    rounds (a host stall then moves one block, not the result); the
-    write percentiles need every write of the run.
+    Every figure covers the whole measured phase: throughput is the
+    completed operations over its wall time (probes excluded), and
+    each percentile is taken over every read (or write) of the run.
+
+    The shared host this was built on changes speed by up to 40% within
+    minutes, which no length of run averages out.  Times are therefore
+    divided by the host factor of the moment they were taken (from the
+    probes interleaved with the operations), and throughput multiplied
+    by the phase's median factor: the figures read as on a host whose
+    probe takes :data:`PROBE_REFERENCE_S`.  ``normalise=False`` gives
+    the raw figures.
     """
-    blocks = log.blocks()
-    rates, p50s, p95s = [], [], []
-    for block in blocks:
-        ok = [op for op in block if op.error is None]
-        rates.append(len(ok) / (block[-1].end - block[0].start))
-        lat = [op.seconds * 1e3 for op in ok if op.kind == "read"]
-        p50s.append(percentile(lat, 50))
-        p95s.append(percentile(lat, 95))
-    writes = [op.seconds * 1e3 for op in log.of("write")]
+    ok_reads, ok_writes = log.of("read"), log.of("write")
     attempted = len(log.ops)
-    failed = attempted - len(log.of("read")) - len(writes)
+    failed = attempted - len(ok_reads) - len(ok_writes)
+    wall = log.wall - sum(s for _, s in log.probes)
+    if normalise:
+        def scaled(ops: list[Op]) -> list[float]:
+            f = host_factors(log.probes, [op.start for op in ops])
+            return [op.seconds * 1e3 / x for op, x in zip(ops, f)]
+
+        reads, writes = scaled(ok_reads), scaled(ok_writes)
+        rate = median([s for _, s in log.probes]) / PROBE_REFERENCE_S
+        setups = [t * PROBE_REFERENCE_S / p
+                  for t, p in zip(setup_times, log.setup_probes)]
+    else:
+        reads = [op.seconds * 1e3 for op in ok_reads]
+        writes = [op.seconds * 1e3 for op in ok_writes]
+        rate, setups = 1.0, setup_times
     return {
-        "setup_s": median(setup_times),
-        "ops_per_s": median(rates),
-        "read_p50_ms": median(p50s),
-        "read_p95_ms": median(p95s),
+        "setup_s": median(setups),
+        "ops_per_s": rate * (attempted - failed) / wall,
+        "read_p50_ms": percentile(reads, 50),
+        "read_p95_ms": percentile(reads, 95),
         "write_p50_ms": percentile(writes, 50),
-        "write_p90_ms": percentile(writes, 90),
+        "write_p95_ms": percentile(writes, 95),
         "peak_rss_mb": peak_rss_mb,
         "success_rate": (attempted - failed) / attempted,
     }
 
 
-def peak_rss_mb(with_children: bool) -> float:
-    """Peak RSS of this process, plus the largest reaped child's peak.
-
-    ``RUSAGE_CHILDREN`` reports the largest peak among terminated,
-    waited-for children, i.e. the largest worker once a pool closed.
-    """
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + (kids if with_children else 0)) / 1024.0
+def peak_rss_mb() -> float:
+    """Peak RSS of this process (the client and the serving tier's
+    threads share it; neither workload starts worker processes)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +389,8 @@ def calibration_seconds() -> float:
     """Median of five runs of a fixed numpy + Python loop.
 
     Recorded so two runs on hosts of different speed can be told
-    apart; metrics are never divided by it.
+    apart; metrics are never divided by it (the normalisation in
+    :func:`end_to_end` uses the probes taken between operations).
     """
     rng = np.random.default_rng(0)
     a = rng.random((200, 200))

@@ -3,7 +3,7 @@
 Times come from the spans :class:`tracing.Tracer` recorded around each
 layer's public functions, and from the counters the program already
 exposes (``QueryResult.stats``, ``server.stats``,
-``scaleout_snapshot()``, the planner's cache counters).  Span medians
+``server.recovery_snapshot()``, the planner's cache counters).  Span medians
 cover the measured phase only, except the set-up spans
 (``core.pv_build``, ``storage.recover``), which cover every set-up.
 
@@ -62,25 +62,16 @@ def read_paths(p: Any, tracer: Any) -> list[dict[str, float]]:
         engine = sum(c.seconds for c in inner if c.name == "engine.execute")
         or_, pc = st.object_retrieval, st.probability_computation
         gather, evals = st.kernel_gather_seconds, st.kernel_eval_seconds
-        remote = engine == 0.0 and st.worker_busy_seconds > 0.0
         path.update({
             "api.plan": plan,
             "engine.step1": or_,
             "engine.step2_gather": gather,
             "engine.step2_eval": evals,
             "engine.step2_other": pc - gather - evals,
+            "engine.self": engine - or_ - pc,
         })
-        if remote:
-            # Process tier: the engine ran in a worker; its time is the
-            # chunk's worker_busy_seconds, the rest of the dispatch is
-            # the pipe hop (send, pickling, recv, merge).
-            path["worker.other"] = st.worker_busy_seconds - or_ - pc
-            path["service.ipc_hop"] = outer.seconds - st.worker_busy_seconds
-        else:
-            path["engine.self"] = engine - or_ - pc
         if outer.name == "service.execute":
-            if not remote:
-                path["service.execute_self"] = outer.seconds - plan - engine
+            path["service.execute_self"] = outer.seconds - plan - engine
             submit = spans.get("client.submit")
             wait = spans.get("service.queue_wait")
             path["client.submit"] = submit.seconds if submit else 0.0
@@ -127,16 +118,6 @@ def per_layer(p: Any, plain: Any, tracer: Any
                                           p.before["planner"]))
     paths = read_paths(p, tracer)
     shape = breakdown(paths)
-    post = [op.seconds for op in reads if op.post_fence]
-    hop = [op.seconds - op.result.stats.worker_busy_seconds
-           for op in reads if not op.post_fence]
-    remote = "scaleout" in p.after
-    busy = 0.0
-    if remote:
-        busy = sum(p.after["scaleout"]["worker_busy_seconds"].values()) - sum(
-            p.before["scaleout"]["worker_busy_seconds"].values())
-    pruned = _delta(p, "scaleout", "shards_pruned")
-    dispatched = _delta(p, "scaleout", "shards_dispatched")
     work = p.wl.counters(p.log)
     mutations = len(writes)
     traced_e2e = end_to_end(p.log, p.setup_times, p.rss)
@@ -168,8 +149,6 @@ def per_layer(p: Any, plain: Any, tracer: Any
         "core.pv_candidates_us": _med(tracer, "core.pv_candidates", w, 1e6),
         "uncertain.store_apply_us": _med(
             tracer, "uncertain.store_apply", w, 1e6),
-        "uncertain.export_shared_ms": _med(
-            tracer, "uncertain.export_shared", w, 1e3),
         "storage.recover_s": _med(tracer, "storage.recover", None, 1.0),
         "storage.wal_append_us": _med(tracer, "storage.wal_append", w, 1e6),
         "storage.checkpoint_ms": _med(tracer, "storage.checkpoint", w, 1e3),
@@ -184,17 +163,10 @@ def per_layer(p: Any, plain: Any, tracer: Any
             tracer, "service.barrier_wait", w, 1e3),
         "service.coalesce_ratio": _delta(p, "server", "coalesced")
         / len(reads),
-        "service.shard_prune_ratio": pruned / (pruned + dispatched)
-        if pruned + dispatched else 0.0,
-        "service.ipc_hop_ms": 1e3 * median(hop) if remote else 0.0,
-        "service.post_fence_read_ms": 1e3 * median(post),
-        "service.worker_busy_ratio": busy / (
-            p.log.wall * p.after["scaleout"]["workers"]) if remote else 0.0,
         "service.retries": _delta(p, "recovery", "retries"),
         "work.reads": len(reads),
         "work.writes": len(p.log.of("write")),
         "work.candidates": work["candidates"],
-        "work.shards_pruned": pruned,
         "work.groups": _delta(p, "server", "groups_dispatched"),
         "work.wal_bytes": p.wl.facts.get("wal_bytes", 0),
         "trace.overhead_pct": 100.0 * (

@@ -3,12 +3,12 @@
 Usage (from the repository root)::
 
     python3 perfbench/run.py --workload served-durable --seed 1 \\
-        --seconds 18 --trace 0
+        --seconds 35 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics; ``--trace 1`` runs the
-same workload untraced and then traced, and reports the per-layer
-metrics plus the tracing overhead between the two.  The last line of
-standard output is one JSON object with the keys ``correct``,
+same workload untraced and then traced (one set-up each), and reports
+the per-layer metrics plus the tracing overhead between the two.  The
+last line of standard output is one JSON object with the keys ``correct``,
 ``attempted``, ``failed`` and ``metrics``; the lines before it carry
 the environment block and the run's details (sample counts, exact work
 counters, the per-read latency breakdown).  The exit code is 0 only
@@ -31,7 +31,7 @@ ROOT = os.path.dirname(HERE)
 #: End-to-end metrics (``--trace 0``), in BENCHMARK.json order.
 END_TO_END = (
     ("setup_s", "s"), ("ops_per_s", "1/s"), ("read_p50_ms", "ms"),
-    ("read_p95_ms", "ms"), ("write_p50_ms", "ms"), ("write_p90_ms", "ms"),
+    ("read_p95_ms", "ms"), ("write_p50_ms", "ms"), ("write_p95_ms", "ms"),
     ("peak_rss_mb", "MB"), ("success_rate", "ratio"),
 )
 
@@ -45,40 +45,27 @@ PER_LAYER = (
     ("engine.reuse_ratio", "ratio"),
     ("core.pv_build_s", "s"), ("core.pv_insert_ms", "ms"),
     ("core.pv_delete_ms", "ms"), ("core.pv_candidates_us", "us"),
-    ("uncertain.store_apply_us", "us"), ("uncertain.export_shared_ms", "ms"),
+    ("uncertain.store_apply_us", "us"),
     ("storage.recover_s", "s"), ("storage.wal_append_us", "us"),
     ("storage.checkpoint_ms", "ms"), ("storage.wal_bytes_per_mutation", "B"),
     ("storage.stored_bytes_ratio", "ratio"),
     ("service.queue_wait_ms", "ms"), ("service.execute_ms", "ms"),
     ("service.barrier_wait_ms", "ms"), ("service.coalesce_ratio", "ratio"),
-    ("service.shard_prune_ratio", "ratio"), ("service.ipc_hop_ms", "ms"),
-    ("service.post_fence_read_ms", "ms"),
-    ("service.worker_busy_ratio", "ratio"), ("service.retries", "count"),
+    ("service.retries", "count"),
     ("work.reads", "count"), ("work.writes", "count"),
-    ("work.candidates", "count"), ("work.shards_pruned", "count"),
-    ("work.groups", "count"), ("work.wal_bytes", "B"),
+    ("work.candidates", "count"), ("work.groups", "count"),
+    ("work.wal_bytes", "B"),
     ("trace.overhead_pct", "%"), ("trace.unattributed_ms", "ms"),
     ("trace.attributed_share", "ratio"),
 )
 
 
 def _pin_threads() -> None:
-    """One BLAS/OpenMP thread: the client, server threads and workers
-    already share two cores, and a thread pool per process would make
-    timings depend on how the OS interleaves them."""
+    """One BLAS/OpenMP thread: the client and the server threads
+    already share two cores, and a BLAS thread pool would make timings
+    depend on how the OS interleaves them."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-
-
-def _stop_resource_tracker() -> None:
-    """Stop and reap multiprocessing's resource-tracker process (started
-    by the process tier's shared memory), so no process outlives the
-    run.  A no-op when it never started."""
-    from multiprocessing import resource_tracker
-
-    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
-    if stop is not None:
-        stop()
 
 
 def parse(argv: list[str]) -> argparse.Namespace:
@@ -106,24 +93,23 @@ def _snapshot(db) -> dict:
     if server is not None:
         out["server"] = dict(vars(server.stats))
         out["recovery"] = dict(server.recovery_snapshot())
-        scaleout = getattr(server, "scaleout_snapshot", None)
-        if scaleout is not None:
-            out["scaleout"] = dict(scaleout())
     return out
 
 
-def run_pass(cls, args, tmp: str, tracer=None) -> Pass:
-    from harness import CheckFailed, LeakSentinel, RunLog, peak_rss_mb
+def run_pass(cls, args, tmp: str, tracer=None, setup_reps=None) -> Pass:
+    """One pass; ``setup_reps`` overrides the workload's set-up count
+    (the traced run needs no ``setup_s``, so it sets up once)."""
+    from harness import (
+        CheckFailed,
+        LeakSentinel,
+        RunLog,
+        median,
+        peak_rss_mb,
+        probe_seconds,
+    )
 
     os.makedirs(tmp)
     wl = cls(ROOT, args.seed, args.seconds, tmp)
-    if wl.rss_children:
-        # The resource tracker is one process (and pipe) per
-        # interpreter, started by the first shared-memory export and
-        # kept until exit by design: start it before the census.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
     sentinel = LeakSentinel()
     error = None
     setup_times: list[float] = []
@@ -135,12 +121,15 @@ def run_pass(cls, args, tmp: str, tracer=None) -> Pass:
     try:
         wl.prepare()
         state = None
-        for rep in range(wl.setup_reps):
+        for _ in range(setup_reps or wl.setup_reps):
             if state is not None:
                 wl.discard(state)
+            probes = [probe_seconds() for _ in range(9)]
             t0 = time.perf_counter()
             state = wl.setup()
             setup_times.append(time.perf_counter() - t0)
+            probes += [probe_seconds() for _ in range(9)]
+            log.setup_probes.append(median(probes))
         before = _snapshot(state["db"])
         t0 = time.perf_counter()
         wl.measure(state, log)
@@ -166,28 +155,20 @@ def run_pass(cls, args, tmp: str, tracer=None) -> Pass:
     except CheckFailed as exc:
         error = error or str(exc)
     return Pass(wl, log, setup_times, before, after, window, error,
-                peak_rss_mb(wl.rss_children))
+                peak_rss_mb())
 
 
 def details(p: Pass) -> dict:
-    """Sample counts, exact work counters and their fingerprint."""
-    from harness import tail_ok
+    """Sample counts, exact work counters and their fingerprint, plus
+    the raw (not normalised) end-to-end figures and host factor."""
+    from harness import PROBE_REFERENCE_S, end_to_end, median, tail_ok
 
     reads = len(p.log.of("read"))
     writes = len(p.log.of("write"))
-    blocks = p.log.blocks()
-    per_block = min(sum(op.kind == "read" for op in b) for b in blocks)
     work = p.wl.counters(p.log)
     for key in ("wal_bytes", "acked_epoch", "checked"):
         if key in p.wl.facts:
             work[key] = p.wl.facts[key]
-    scale = p.after.get("scaleout")
-    if scale:
-        work["shards_pruned"] = (scale["shards_pruned"]
-                                 - p.before["scaleout"]["shards_pruned"])
-        work["shards_dispatched"] = (
-            scale["shards_dispatched"]
-            - p.before["scaleout"]["shards_dispatched"])
     served = {}
     if "server" in p.after:
         served = {k: p.after["server"][k] - p.before["server"][k]
@@ -197,10 +178,12 @@ def details(p: Pass) -> dict:
     return {
         "workload": p.wl.name,
         "samples": {"reads": reads, "writes": writes,
-                    "blocks": len(blocks), "min_reads_per_block": per_block,
-                    "read_p95_has_10_beyond": tail_ok(per_block, 95),
-                    "write_p90_has_10_beyond": tail_ok(writes, 90)},
+                    "read_p95_has_10_beyond": tail_ok(reads, 95),
+                    "write_p95_has_10_beyond": tail_ok(writes, 95)},
         "setup_times_s": p.setup_times,
+        "raw": end_to_end(p.log, p.setup_times, p.rss, normalise=False),
+        "host_factor": median([x for _, x in p.log.probes])
+        / PROBE_REFERENCE_S,
         "work": work,
         "work_fingerprint": digest,
         "served": served,
@@ -227,14 +210,17 @@ def main(argv: list[str]) -> int:
         return 2
     tmp = os.path.join(ROOT, ".perfbench_tmp", f"{args.workload}-{os.getpid()}")
     try:
-        plain = run_pass(cls, args, os.path.join(tmp, "plain"))
+        reps = 1 if args.trace else None
+        plain = run_pass(cls, args, os.path.join(tmp, "plain"),
+                         setup_reps=reps)
         passes = [plain]
         if args.trace:
             from layers import per_layer
             from tracing import Tracer
 
             tracer = Tracer()
-            traced = run_pass(cls, args, os.path.join(tmp, "traced"), tracer)
+            traced = run_pass(cls, args, os.path.join(tmp, "traced"), tracer,
+                              setup_reps=reps)
             passes.append(traced)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -242,7 +228,6 @@ def main(argv: list[str]) -> int:
             os.rmdir(os.path.dirname(tmp))
         except OSError:
             pass
-        _stop_resource_tracker()
     emit({"env": environment(ROOT, argv, args.seed, args.workload,
                              plain.wl.params())})
     for p in passes:
@@ -253,10 +238,8 @@ def main(argv: list[str]) -> int:
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, f"trace-{args.workload}-s{args.seed}.jsonl")
         tracer.write(path)
-        emit({"breakdown": breakdown, "spans_file": os.path.relpath(path, ROOT),
-              "note": "process-pool worker code is not wrapped; it is "
-                      "attributed through worker_busy_seconds and "
-                      "scaleout_snapshot()"})
+        emit({"breakdown": breakdown,
+              "spans_file": os.path.relpath(path, ROOT)})
         declared = PER_LAYER
         reported = traced
     else:

@@ -153,3 +153,23 @@ def test_same_seed_does_the_same_work(tmp_path):
     first = run.details(_pass(tmp_path / "a"))["work_fingerprint"]
     second = run.details(_pass(tmp_path / "b"))["work_fingerprint"]
     assert first == second
+
+
+def test_host_factors_scale_times_by_the_nearby_probes():
+    ref = harness.PROBE_REFERENCE_S
+    probes = [(0.0, ref), (1.0, ref), (10.0, 2 * ref), (11.0, 2 * ref)]
+    factors = harness.host_factors(probes, [0.5, 10.5, 30.0])
+    assert list(factors) == [1.0, 2.0, 2.0]  # 30.0: the nearest probe
+
+    log = harness.RunLog(probes=probes, setup_probes=[2 * ref])
+    log.ops = [harness.Op("read", "nn", 0.5, 0.5 + 0.004),
+               harness.Op("read", "nn", 10.5, 10.5 + 0.008),
+               harness.Op("write", "insert", 11.0, 11.0 + 0.002)]
+    log.wall = 12.0 + sum(s for _, s in probes)
+    raw = harness.end_to_end(log, [3.0], 1.0, normalise=False)
+    norm = harness.end_to_end(log, [3.0], 1.0)
+    assert raw["read_p95_ms"] > 7.0 and norm["read_p95_ms"] < 4.01
+    assert norm["write_p50_ms"] == pytest.approx(1.0)
+    assert norm["setup_s"] == pytest.approx(1.5)
+    assert raw["ops_per_s"] == pytest.approx(3 / 12.0)
+    assert norm["ops_per_s"] == pytest.approx(1.5 * 3 / 12.0)

@@ -4,7 +4,7 @@ The program has no spans of its own yet, so the benchmark records them
 from outside: :class:`Tracer` swaps a timing wrapper in for the public
 functions at each layer boundary (``Planner.plan``, the engines'
 ``query_measured``/``query_batch_measured``, ``PVIndex.build/insert/
-delete/candidates``, ``InstanceStore.apply_*``/``export_shared``,
+delete/candidates``, ``InstanceStore.apply_*``,
 ``WriteAheadLog.append``, ``DurableStore.recover/checkpoint``) and
 hooks the scheduler's ``submit_read``/``submit_mutation``/``next_work``
 /``work_done`` to stamp queue wait and group execution.  Everything is
@@ -15,10 +15,6 @@ A span carries its name, start and end (``perf_counter`` seconds), the
 id of the span that caused it, and the request ids it serves (a
 coalesced group serves several).  Spans stay in memory and are written
 out once, at the end of the run.
-
-Code inside process-pool workers cannot be wrapped from the parent;
-its time reaches the trace only through ``ExecutionStats.
-worker_busy_seconds`` and ``scaleout_snapshot()``.
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ WRAPPED = (
      "uncertain.store_apply"),
     ("repro.uncertain.store", "InstanceStore", "apply_delete",
      "uncertain.store_apply"),
-    ("repro.uncertain.store", "InstanceStore", "export_shared",
-     "uncertain.export_shared"),
     ("repro.storage.wal", "WriteAheadLog", "append", "storage.wal_append"),
     ("repro.storage.durable", "DurableStore", "recover", "storage.recover"),
     ("repro.storage.durable", "DurableStore", "checkpoint",

@@ -1,4 +1,4 @@
-"""The four workloads: inputs, set-up, measured traffic, checks.
+"""The two workloads: inputs, set-up, measured traffic, checks.
 
 Every workload is a closed loop driven from one client thread through
 the public surface only (``Database``, ``Database.open``,
@@ -32,9 +32,12 @@ from harness import (
 )
 
 #: ``--seconds`` value the round counts below are sized for.
-NOMINAL_SECONDS = 18
-#: Reads per client window on the served workloads.
+NOMINAL_SECONDS = 35
+#: Reads per client window on served-durable.
 WINDOW = 8
+#: served-durable probes the host's speed before every 4th window
+#: (pv-churn before every round), about 2% of the measured phase.
+PROBE_EVERY = 4
 #: Sampled reads compared against the oracle in every run.
 SAMPLES = 40
 #: Step-2 oracle tolerance against ``tests/reference_step2.py``.
@@ -118,8 +121,6 @@ class Workload:
     why = ""
     #: Set-ups per run; ``setup_s`` is their median.
     setup_reps = 3
-    #: ``peak_rss_mb`` adds the largest reaped child (worker) process.
-    rss_children = False
     #: Retriever every read's plan must name.
     retriever = "brute"
     #: ``db.built_indexes`` at the end of the run.
@@ -130,8 +131,6 @@ class Workload:
         self.root, self.seed, self.seconds, self.tmp = root, seed, seconds, tmp
         self.rng = np.random.default_rng(seed)
         self.script: list[tuple[str, str, Any]] = []
-        #: Script positions where a round starts (``ops_per_s`` blocks).
-        self.round_at: set[int] = set()
         self.facts: dict[str, Any] = {}
 
     # -- interface ------------------------------------------------------
@@ -242,7 +241,7 @@ class PVChurn(Workload):
         super().__init__(*args)
         from repro import synthetic_dataset
 
-        n_rounds = rounds(150, self.seconds)
+        n_rounds = rounds(230, self.seconds)
         ds = synthetic_dataset(n=self.N, dims=2, u_max=self.U_MAX,
                                n_samples=self.M, seed=self.seed)
         self.domain = ds.domain
@@ -251,7 +250,6 @@ class PVChurn(Workload):
                                   n_samples=self.M, seed=self.seed + 1)
         writes = churn(list(ds.ids), renumber(list(extra), self.N), n_rounds)
         for r in range(n_rounds):
-            self.round_at.add(len(self.script))
             for _ in range(self.READS):
                 q = self.rng.uniform(0.0, 10_000.0, 2)
                 self.script.append(("read", "nn", (q, {})))
@@ -277,8 +275,8 @@ class PVChurn(Workload):
     def measure(self, state: Any, log: RunLog) -> None:
         db = state["db"]
         for i, (kind, verb, payload) in enumerate(self.script):
-            if i in self.round_at:
-                log.mark_round()
+            if i % (self.READS + 1) == 0:
+                log.probe()
             if kind == "read":
                 query = payload[0]
                 timed(log, kind, verb, lambda: db.nn(query, retriever="pv"))
@@ -355,13 +353,17 @@ class ServedDurable(Workload):
     name = "served-durable"
     why = ("the default thread serving tier over a durable store: "
            "scheduler, coalescing, barriers, WAL, recovery, checkpoint")
-    N, M, U_MAX, PREP, HOT, CKPT_EVERY = 8000, 100, 300.0, 1500, 4, 4
+    # m=200 makes every WAL record (4.8 KB) longer than a 4 KB block, so
+    # every fsynced append allocates one: at m=100 (2.4 KB) appends
+    # alternate between allocating and not, and insert latency is
+    # bimodal with write_p50_ms on the edge between the two modes.
+    N, M, U_MAX, PREP, HOT, CKPT_EVERY = 8000, 200, 300.0, 1500, 32, 9
 
     def __init__(self, *args: Any) -> None:
         super().__init__(*args)
         from repro import synthetic_dataset
 
-        n_rounds = rounds(375, self.seconds)
+        n_rounds = rounds(1330, self.seconds)
         ds = synthetic_dataset(n=self.N, dims=2, u_max=self.U_MAX,
                                n_samples=self.M, seed=self.seed)
         self.domain = ds.domain
@@ -371,10 +373,12 @@ class ServedDurable(Workload):
                                    self.M)
         extra = synthetic_dataset(n=n_rounds, dims=2, u_max=self.U_MAX,
                                   n_samples=self.M, seed=self.seed + 1)
-        writes = churn(live, renumber(list(extra), 2_000_000), n_rounds)
+        # Inserts only: a checkpoint after every ninth makes checkpoints
+        # a tenth of the writes, so write_p95_ms is their median and
+        # write_p50_ms sits inside the inserts.
+        writes = [("insert", o) for o in renumber(list(extra), 2_000_000)]
         hot = self.rng.uniform(0.0, 10_000.0, (self.HOT, 2))
         for r in range(n_rounds):
-            self.round_at.add(len(self.script))
             for j in range(WINDOW):
                 q = (hot[self.rng.integers(self.HOT)] if j % 2
                      else self.rng.uniform(0.0, 10_000.0, 2))
@@ -429,12 +433,13 @@ class ServedDurable(Workload):
         base = os.path.getsize(wal)
         appended = 0
         acked = []
-        i = 0
+        i = windows = 0
         while i < len(self.script):
-            if i in self.round_at:
-                log.mark_round()
             kind, verb, payload = self.script[i]
             if kind == "read":
+                if windows % PROBE_EVERY == 0:
+                    log.probe()
+                windows += 1
                 batch = self.script[i:i + WINDOW]
                 window(log, [
                     ("nn", lambda q=p[0]: session.nn(q, retriever="brute"))
@@ -448,10 +453,9 @@ class ServedDurable(Workload):
                 base = os.path.getsize(wal)
             else:
                 future = []
-                submit = session.insert if verb == "insert" else session.delete
 
-                def call(payload=payload, submit=submit, future=future):
-                    future.append(submit(payload))
+                def call(payload=payload, future=future):
+                    future.append(session.insert(payload))
                     return future[0].result(timeout=120.0)
 
                 timed(log, kind, verb, call)
@@ -502,103 +506,6 @@ class ServedDurable(Workload):
             close_all(db, reopened)
 
 
-# ----------------------------------------------------------------------
-class ProcessFence(Workload):
-    name = "process-fence"
-    why = ("the process tier: shared-memory fences on writes, then "
-           "every worker re-attaches and rebuilds its shard layout")
-    rss_children = True
-    retriever = "sharded"
-    N, M, BURST, WINDOWS, POST = 6000, 8, 50, 125, 2
-
-    def __init__(self, *args: Any) -> None:
-        super().__init__(*args)
-        from repro.uncertain.generators import clustered_dataset
-
-        n_rounds = rounds(3, self.seconds)
-        ds = clustered_dataset(n=self.N, dims=2, n_samples=self.M,
-                               seed=self.seed)
-        self.domain = ds.domain
-        self.objects = list(ds)
-        centres = np.array([o.region.center for o in self.objects])
-        extra = clustered_dataset(n=n_rounds * self.BURST, dims=2,
-                                  n_samples=self.M, seed=self.seed + 1)
-        writes = churn(list(ds.ids), renumber(list(extra), self.N),
-                       n_rounds * self.BURST)
-
-        def query() -> np.ndarray:
-            c = centres[self.rng.integers(self.N)]
-            return c + self.rng.normal(0.0, 25.0, 2)
-
-        for r in range(n_rounds):
-            self.round_at.add(len(self.script))
-            for w in writes[r * self.BURST:(r + 1) * self.BURST]:
-                self.script.append(("write", *w))
-            for _ in range(self.WINDOWS * WINDOW):
-                self.script.append(("read", "nn", (query(), {})))
-        self.warm = [query() for _ in range(2 * WINDOW)]
-
-    def params(self) -> dict[str, Any]:
-        return {"n": self.N, "m": self.M, "dims": 2, "data": "clustered",
-                "result_cache_size": 0,
-                "serve": {"mode": "process", "workers": 2, "n_shards": 8},
-                "window": WINDOW, "write_burst": self.BURST,
-                "windows_per_burst": self.WINDOWS,
-                "post_fence_windows": self.POST,
-                "indexes": [], "retriever": "sharded (process default)",
-                "ops": self.expected_counts()}
-
-    def setup(self) -> Any:
-        from repro.api import Database
-        from repro.uncertain import UncertainDataset
-
-        db = Database(UncertainDataset(self.objects, domain=self.domain),
-                      indexes=(), result_cache_size=0)
-        session = db.serve(mode="process", workers=2, n_shards=8).session()
-        # Two windows of 16: each group scatters over both workers, so
-        # both attach the segment and build their shard layout here.
-        for _ in range(2):
-            for f in [session.nn(q) for q in self.warm]:
-                f.result(timeout=120.0)
-        return {"db": db, "session": session}
-
-    def measure(self, state: Any, log: RunLog) -> None:
-        session = state["session"]
-        i, since_write = 0, None
-        while i < len(self.script):
-            if i in self.round_at:
-                log.mark_round()
-            kind, verb, payload = self.script[i]
-            if kind == "write":
-                submit = session.insert if verb == "insert" else session.delete
-                timed(log, kind, verb,
-                      lambda: submit(payload).result(timeout=120.0))
-                since_write = 0
-                i += 1
-                continue
-            batch = self.script[i:i + WINDOW]
-            post = since_write is not None and since_write < self.POST
-            window(log, [("nn", lambda q=p[0]: session.nn(q))
-                         for _, _, p in batch], post_fence=post)
-            if since_write is not None:
-                since_write += 1
-            i += len(batch)
-
-    def finish(self, state: Any, log: RunLog) -> None:
-        db = state["db"]
-        try:
-            self.guard(db, log)
-            model = ReplayModel(self.objects, self.domain, 0,
-                                self.record_writes(log, 0))
-            try:
-                self.facts["checked"] = self.compare_samples(
-                    log, model, bit_identical)
-            finally:
-                model.close()
-        finally:
-            db.close()
-
-
-WORKLOADS = {w.name: w for w in (PVChurn, ServedDurable, ProcessFence)}
+WORKLOADS = {w.name: w for w in (PVChurn, ServedDurable)}
 
 __all__ = ["WORKLOADS"]
