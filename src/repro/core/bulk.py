@@ -117,14 +117,7 @@ def bulk_build(
     )
     index = PVIndex(dataset, se, pager, primary, secondary)
 
-    order = z_order(dataset)
-    t_se0 = time.perf_counter()
-    ubrs = {
-        oid: se.compute_ubr(dataset[oid], dataset).ubr for oid in order
-    }
-    index.stats.se_seconds += time.perf_counter() - t_se0
-    for oid in order:
-        index._insert_entry(dataset[oid], ubrs[oid])
+    index._insert_all([dataset[oid] for oid in z_order(dataset)])
     index.stats.build_seconds += time.perf_counter() - t0
     return BulkBuildReport(
         index=index,

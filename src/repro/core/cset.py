@@ -11,9 +11,9 @@ Three strategies from the paper:
 * :class:`FixedSelection` (FS) — the ``k`` objects with nearest mean
   positions.
 * :class:`IncrementalSelection` (IS) — examines nearest neighbors of
-  ``o`` one at a time via R-tree distance browsing, skips objects whose
-  uncertainty regions overlap ``u(o)`` (their ``dom`` is empty by
-  Lemma 2, so they cannot shrink anything), and spreads the selection
+  ``o`` in distance order, skips objects whose uncertainty regions
+  overlap ``u(o)`` (their ``dom`` is empty by Lemma 2, so they cannot
+  shrink anything), and spreads the selection
   over the ``2^d`` quadrants around ``o``'s mean until each quadrant has
   ``kpartition`` members or ``kglobal`` neighbors were scanned.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rtree import RStarTree
+from ..geometry import corner_bits, mindist_sq_point_rects
 from ..uncertain import UncertainDataset, UncertainObject
 
 __all__ = [
@@ -76,19 +76,6 @@ class CSetStrategy(ABC):
     ) -> CSet:
         """Candidate set for the object's SE run (must exclude ``obj``)."""
 
-    def bind(self, dataset: UncertainDataset) -> None:
-        """Hook for strategies that precompute per-dataset structures.
-
-        Called once before a batch of :meth:`choose` calls over the same
-        dataset; the default is a no-op.
-        """
-
-    def notify_insert(self, obj: UncertainObject) -> None:
-        """Hook: the bound dataset gained ``obj`` (default no-op)."""
-
-    def notify_delete(self, obj: UncertainObject) -> None:
-        """Hook: the bound dataset lost ``obj`` (default no-op)."""
-
 
 class AllCSet(CSetStrategy):
     """``chooseCSet`` returning the entire database (minus ``o``)."""
@@ -103,67 +90,42 @@ class AllCSet(CSetStrategy):
         return CSet(ids=ids[mask], los=los[mask], his=his[mask])
 
 
-class _RTreeBackedStrategy(CSetStrategy):
-    """Shared machinery: an R*-tree over object means for NN search.
+def rank_by_mean(
+    obj: UncertainObject, dataset: UncertainDataset
+) -> np.ndarray:
+    """Rows of ``dataset.packed_regions()`` nearest-first by mean position.
 
-    FS and IS both rank objects by the distance between *mean positions*;
-    a point R-tree over means supports that with the distance-browsing
-    iterator.  The tree is built lazily per dataset and reused across the
-    whole construction pass (the paper assumes "an R-tree of objects'
-    uncertainty regions for efficient NN retrieval"; means give identical
-    ordering for mean-distance ranking while keeping the tree slim).
+    FS and IS rank objects by the distance between *mean positions*
+    (region centers).  The squared distances use the same per-dimension
+    gap formula as an R*-tree's point-to-rectangle ``mindist`` and a
+    stable sort, so the order is the tree's distance-browsing order
+    whenever distances are distinct, and dataset order among ties.
+    ``obj`` itself is left out.
     """
-
-    def __init__(self) -> None:
-        self._tree: RStarTree | None = None
-        self._dataset_token: int | None = None
-        self._dataset_len: int | None = None
-
-    def bind(self, dataset: UncertainDataset) -> None:
-        token = id(dataset)
-        if (
-            self._tree is None
-            or self._dataset_token != token
-            or self._dataset_len != len(dataset)
-        ):
-            tree = RStarTree(dims=dataset.dims, max_entries=32)
-            from ..geometry import Rect
-
-            for o in dataset:
-                tree.insert(o.oid, Rect.from_point(o.mean))
-            self._tree = tree
-            self._dataset_token = token
-            self._dataset_len = len(dataset)
-
-    def notify_insert(self, obj: UncertainObject) -> None:
-        """Maintain the cached mean tree after a dataset insertion.
-
-        Keeps incremental PV-index maintenance from paying a full
-        NN-structure rebuild per update (Section VI-B's point).
-        """
-        if self._tree is not None:
-            from ..geometry import Rect
-
-            self._tree.insert(obj.oid, Rect.from_point(obj.mean))
-            if self._dataset_len is not None:
-                self._dataset_len += 1
-
-    def notify_delete(self, obj: UncertainObject) -> None:
-        """Maintain the cached mean tree after a dataset deletion."""
-        if self._tree is not None:
-            from ..geometry import Rect
-
-            self._tree.delete(obj.oid, Rect.from_point(obj.mean))
-            if self._dataset_len is not None:
-                self._dataset_len -= 1
-
-    def _ensure_tree(self, dataset: UncertainDataset) -> RStarTree:
-        self.bind(dataset)
-        assert self._tree is not None
-        return self._tree
+    ids, los, his = dataset.packed_regions()
+    centres = (los + his) / 2.0
+    order = np.argsort(
+        mindist_sq_point_rects(obj.mean, centres, centres), kind="stable"
+    )
+    return order[ids[order] != obj.oid]
 
 
-class FixedSelection(_RTreeBackedStrategy):
+def _quadrant_mask(
+    los: np.ndarray, his: np.ndarray, mean: np.ndarray
+) -> np.ndarray:
+    """``(k, 2^d)``: which quadrants around ``mean`` each region touches.
+
+    Quadrant bit ``j`` is set for the half-space ``x_j >= mean_j``.  A
+    region straddling the split plane in some dimension touches
+    quadrants with either bit value there.
+    """
+    bits = corner_bits(len(mean))
+    lo_side = (los < mean)[:, None, :]  # touches the low half-space
+    hi_side = (his >= mean)[:, None, :]  # touches the high half-space
+    return np.where(bits, hi_side, lo_side).all(axis=2)
+
+
+class FixedSelection(CSetStrategy):
     """FS: the ``k`` nearest objects by mean position.
 
     Parameters
@@ -175,7 +137,6 @@ class FixedSelection(_RTreeBackedStrategy):
     name = "FS"
 
     def __init__(self, k: int = 200) -> None:
-        super().__init__()
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
@@ -183,16 +144,19 @@ class FixedSelection(_RTreeBackedStrategy):
     def choose(
         self, obj: UncertainObject, dataset: UncertainDataset
     ) -> CSet:
-        tree = self._ensure_tree(dataset)
-        hits = tree.knn(
-            obj.mean, self.k, skip=lambda e: e.key == obj.oid
-        )
-        objects = [dataset[e.key] for _, e in hits]
-        return CSet.from_objects(objects)
+        ids, los, his = dataset.packed_regions()
+        rows = rank_by_mean(obj, dataset)[: self.k]
+        return CSet(ids=ids[rows], los=los[rows], his=his[rows])
 
 
-class IncrementalSelection(_RTreeBackedStrategy):
+class IncrementalSelection(CSetStrategy):
     """IS: quadrant-balanced incremental selection.
+
+    Examines the ``kglobal`` nearest objects (by mean) in order, skips
+    those overlapping ``u(o)``, and stops after the first selection that
+    gives every quadrant ``kpartition`` members.  The walk is evaluated
+    at once: a cumulative sum over the touched-quadrant mask of the
+    examined prefix finds the stopping point.
 
     Parameters
     ----------
@@ -207,7 +171,6 @@ class IncrementalSelection(_RTreeBackedStrategy):
     name = "IS"
 
     def __init__(self, kpartition: int = 10, kglobal: int = 200) -> None:
-        super().__init__()
         if kpartition < 1:
             raise ValueError("kpartition must be >= 1")
         if kglobal < 1:
@@ -218,48 +181,29 @@ class IncrementalSelection(_RTreeBackedStrategy):
     def choose(
         self, obj: UncertainObject, dataset: UncertainDataset
     ) -> CSet:
-        tree = self._ensure_tree(dataset)
-        d = dataset.dims
-        n_parts = 1 << d
-        counters = np.zeros(n_parts, dtype=np.int64)
-        mean = obj.mean
-        selected: list[UncertainObject] = []
-        examined = 0
-        for _, entry in tree.nearest_iter(
-            mean, skip=lambda e: e.key == obj.oid
-        ):
-            if examined >= self.kglobal:
-                break
-            examined += 1
-            cand = dataset[entry.key]
-            if cand.region.intersects(obj.region):
-                # Lemma 2: dom(cand, o) is empty — useless for shrinking.
-                continue
-            parts = self._touched_partitions(cand, mean, d)
-            counters[parts] += 1
-            selected.append(cand)
-            if np.all(counters >= self.kpartition):
-                break
-        return CSet.from_objects(selected)
+        ids, los, his = dataset.packed_regions()
+        rows = rank_by_mean(obj, dataset)[: self.kglobal]
+        c_lo, c_hi = los[rows], his[rows]
+        # Lemma 2: a region overlapping u(o) has empty dom(cand, o) —
+        # useless for shrinking, so it is examined but never selected.
+        keep = ~(
+            np.all(c_lo <= obj.region.hi, axis=1)
+            & np.all(obj.region.lo <= c_hi, axis=1)
+        )
+        touched = _quadrant_mask(c_lo, c_hi, obj.mean) & keep[:, None]
+        full = np.cumsum(touched, axis=0) >= self.kpartition
+        done = np.flatnonzero(full.all(axis=1))
+        if len(done):
+            keep[done[0] + 1:] = False
+        rows = rows[keep]
+        return CSet(ids=ids[rows], los=los[rows], his=his[rows])
 
     @staticmethod
     def _touched_partitions(
         cand: UncertainObject, mean: np.ndarray, d: int
     ) -> list[int]:
-        """Indices of the 2^d quadrants intersected by ``u(cand)``.
-
-        Quadrant bit ``j`` is set for the half-space ``x_j >= mean_j``.
-        A region straddling the split plane in some dimension touches
-        quadrants with either bit value there.
-        """
-        lo_side = cand.region.lo < mean  # touches the low half-space
-        hi_side = cand.region.hi >= mean  # touches the high half-space
-        parts = [0]
-        for j in range(d):
-            nxt = []
-            if lo_side[j]:
-                nxt.extend(parts)
-            if hi_side[j]:
-                nxt.extend(p | (1 << j) for p in parts)
-            parts = nxt
-        return parts
+        """Indices of the 2^d quadrants intersected by ``u(cand)``."""
+        mask = _quadrant_mask(
+            cand.region.lo[None, :], cand.region.hi[None, :], mean
+        )
+        return np.flatnonzero(mask[0]).tolist()

@@ -71,6 +71,7 @@ class PVIndexStats:
     build_seconds: float = 0.0
     se_seconds: float = 0.0
     insert_seconds: float = 0.0
+    delete_seconds: float = 0.0
     update_affected: int = 0
     update_examined: int = 0
     cells_recomputed: int = 0
@@ -79,6 +80,7 @@ class PVIndexStats:
         self.build_seconds = 0.0
         self.se_seconds = 0.0
         self.insert_seconds = 0.0
+        self.delete_seconds = 0.0
         self.update_affected = 0
         self.update_examined = 0
         self.cells_recomputed = 0
@@ -145,16 +147,18 @@ class PVIndex:
         )
         index = cls(dataset, se, pager, primary, secondary)
 
-        t_se0 = time.perf_counter()
-        results = {
-            obj.oid: se.compute_ubr(obj, dataset) for obj in dataset
-        }
-        index.stats.se_seconds += time.perf_counter() - t_se0
-        index.stats.cells_recomputed += len(results)
-        for obj in dataset:
-            index._insert_entry(obj, results[obj.oid].ubr)
+        index._insert_all(list(dataset))
         index.stats.build_seconds += time.perf_counter() - t0
         return index
+
+    def _insert_all(self, objs: list[UncertainObject]) -> None:
+        """SE for every object (lockstep chunks), then insert in order."""
+        t_se0 = time.perf_counter()
+        results = self.se.compute_ubrs(objs, self.dataset)
+        self.stats.se_seconds += time.perf_counter() - t_se0
+        self.stats.cells_recomputed += len(results)
+        for obj, result in zip(objs, results):
+            self._insert_entry(obj, result.ubr)
 
     def _insert_entry(self, obj: UncertainObject, ubr: Rect) -> None:
         """Steps 1–4 of the construction algorithm for one object."""
@@ -248,40 +252,34 @@ class PVIndex:
 
         # Apply the dataset change before recomputation (SE must see S').
         self.dataset.delete(oid)
-        self.se.strategy.notify_delete(removed)
 
-        # Step 3: warm-started SE — old UBR becomes the lower bound.
-        new_ubrs: dict[int, Rect] = {}
+        # Step 3: warm-started SE for the whole affected set in one
+        # lockstep call — old UBRs become the lower bounds.
+        old_ubrs = [self.secondary.get(obj.oid).ubr for obj in affected]
         t_se0 = time.perf_counter()
-        for obj in affected:
-            old = self.secondary.get(obj.oid).ubr
-            result = self.se.recompute_after_deletion(
-                obj, self.dataset, old_ubr=old
-            )
-            new_ubrs[obj.oid] = result.ubr
+        results = self.se.compute_ubrs(
+            affected, self.dataset, lowers=old_ubrs
+        )
         self.stats.se_seconds += time.perf_counter() - t_se0
 
         # Step 4: refresh the primary and secondary indexes.
         self._remove_primary_entries(oid, old_ubr)
         self.secondary.delete(oid)
-        for obj in affected:
-            old = self.secondary.get(obj.oid).ubr
-            self._grow_primary_entries(obj, old, new_ubrs[obj.oid])
+        for obj, old, result in zip(affected, old_ubrs, results):
+            self._grow_primary_entries(obj, old, result.ubr)
             self.secondary.put(
-                obj.oid,
-                SecondaryRecord(ubr=new_ubrs[obj.oid], obj=obj),
+                obj.oid, SecondaryRecord(ubr=result.ubr, obj=obj)
             )
         self.stats.update_affected += len(affected)
         self.stats.cells_recomputed += len(affected)
         self.dataset_epoch = getattr(self.dataset, "epoch", 0)
-        self.stats.insert_seconds += time.perf_counter() - t0
+        self.stats.delete_seconds += time.perf_counter() - t0
 
     def insert(self, obj: UncertainObject) -> None:
         """Add ``obj``; incrementally refresh affected UBRs."""
         self._check_in_sync()
         t0 = time.perf_counter()
         self.dataset.insert(obj)
-        self.se.strategy.notify_insert(obj)
 
         # Step 1: UBR of the new object via a full SE run on S'.
         t_se0 = time.perf_counter()
@@ -293,24 +291,20 @@ class PVIndex:
             probe_ubr=new_obj_ubr, other=obj, exclude_oid=obj.oid
         )
 
-        # Step 3: warm-started SE — old UBR becomes the upper bound.
-        new_ubrs: dict[int, Rect] = {}
+        # Step 3: warm-started SE for the whole affected set in one
+        # lockstep call — old UBRs become the upper bounds.
+        old_ubrs = [self.secondary.get(o.oid).ubr for o in affected]
         t_se0 = time.perf_counter()
-        for other in affected:
-            old = self.secondary.get(other.oid).ubr
-            result = self.se.recompute_after_insertion(
-                other, self.dataset, old_ubr=old
-            )
-            new_ubrs[other.oid] = result.ubr
+        results = self.se.compute_ubrs(
+            affected, self.dataset, uppers=old_ubrs
+        )
         self.stats.se_seconds += time.perf_counter() - t_se0
 
         # Step 4: shrink affected entries, then insert the new object.
-        for other in affected:
-            old = self.secondary.get(other.oid).ubr
-            self._shrink_primary_entries(other, old, new_ubrs[other.oid])
+        for other, old, result in zip(affected, old_ubrs, results):
+            self._shrink_primary_entries(other, old, result.ubr)
             self.secondary.put(
-                other.oid,
-                SecondaryRecord(ubr=new_ubrs[other.oid], obj=other),
+                other.oid, SecondaryRecord(ubr=result.ubr, obj=other)
             )
         self._insert_entry(obj, new_obj_ubr)
         self.stats.update_affected += len(affected)

@@ -26,21 +26,40 @@ The incremental variants of Section VI-B reuse the same loop with warm
 starts: after a *deletion* the cell can only grow (Lemma 9), so the old
 UBR becomes the new lower bound ``l(o)``; after an *insertion* the cell
 can only shrink, so the old UBR becomes the new upper bound ``h(o)``.
+
+Objects are independent, so SE runs many of them in lockstep: one
+padded ``(objects, C-set, d)`` tensor, one batched emptiness test per
+(dimension, direction) step over the objects still running.  A whole
+build or an update's affected set thus costs about as many numpy calls
+as one object.  Every object's sequence of decisions is exactly the
+one-object loop's, so the UBRs are too.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..geometry import Rect
-from ..geometry.domination import DominationTester, margin_bounds_batch
+from ..geometry.domination import (
+    compact_candidates,
+    intersects_nondominated_batch,
+    margin_extrema,
+)
 from ..uncertain import UncertainDataset, UncertainObject
 from .cset import CSet, CSetStrategy, IncrementalSelection
 
 __all__ = ["SEConfig", "SEStats", "SEResult", "ShrinkExpand"]
+
+#: Upper bound on the elements of the largest temporary of one lockstep
+#: batch (about 2 MB of float64).  Objects are batched until
+#: ``rows x C-set size x per-candidate elements`` would exceed it, which
+#: keeps a whole-dataset build from materialising every C-set's
+#: partition grid at once.
+CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,7 +89,12 @@ class SEConfig:
 
 @dataclass
 class SEStats:
-    """Accumulated cost counters across SE runs (Figure 10(e) split)."""
+    """Accumulated cost counters across SE runs (Figure 10(e) split).
+
+    ``runs`` counts C-set choices (one per object SE is run for) and
+    ``cset_size_total`` sums their sizes, so the mean C-set size is
+    kept in constant space on a long-lived index.
+    """
 
     choose_cset_seconds: float = 0.0
     ubr_seconds: float = 0.0
@@ -79,7 +103,7 @@ class SEStats:
     emptiness_tests: int = 0
     shrinks: int = 0
     expands: int = 0
-    cset_sizes: list[int] = field(default_factory=list)
+    cset_size_total: int = 0
 
     def reset(self) -> None:
         self.choose_cset_seconds = 0.0
@@ -89,14 +113,14 @@ class SEStats:
         self.emptiness_tests = 0
         self.shrinks = 0
         self.expands = 0
-        self.cset_sizes = []
+        self.cset_size_total = 0
 
     @property
     def mean_cset_size(self) -> float:
         """Average candidate-set size over all runs."""
-        if not self.cset_sizes:
+        if not self.runs:
             return 0.0
-        return float(np.mean(self.cset_sizes))
+        return self.cset_size_total / self.runs
 
 
 @dataclass(frozen=True)
@@ -111,6 +135,12 @@ class SEResult:
 
 class ShrinkExpand:
     """Computes UBRs via the SE algorithm.
+
+    Many objects are refined in lockstep (:meth:`refine_many`): every
+    object keeps its own sandwich, C-set and stopping point, and each
+    (dimension, direction) step asks one batched emptiness test for all
+    objects still running.  The single-object methods are batches of
+    one.
 
     Parameters
     ----------
@@ -131,27 +161,58 @@ class ShrinkExpand:
         self.stats = SEStats()
 
     # ------------------------------------------------------------------
+    def compute_ubrs(
+        self,
+        objs: Sequence[UncertainObject],
+        dataset: UncertainDataset,
+        lowers: Sequence[Rect] | None = None,
+        uppers: Sequence[Rect] | None = None,
+    ) -> list[SEResult]:
+        """Run SE for every object of ``objs`` against ``dataset``.
+
+        ``lowers`` / ``uppers`` are the warm starts (default ``u(o)`` and
+        the domain ``D``; see :meth:`refine_many`).  C-sets are chosen
+        one object at a time, and objects are refined in lockstep
+        batches bounded by :data:`CHUNK_ELEMENTS`.
+        """
+        d = dataset.dims
+        per_cand = d * max(5 * self.config.m_max, (1 << d) + 1)
+        if lowers is None:
+            lowers = [o.region for o in objs]
+        if uppers is None:
+            uppers = [dataset.domain] * len(objs)
+        results: list[SEResult] = []
+
+        def refine(lo: int, hi: int, csets: list[CSet]) -> None:
+            t0 = time.perf_counter()
+            results.extend(
+                self.refine_many(
+                    objs[lo:hi], csets, lowers[lo:hi], uppers[lo:hi]
+                )
+            )
+            self.stats.ubr_seconds += time.perf_counter() - t0
+
+        first, csets, widest = 0, [], 1
+        for i, obj in enumerate(objs):
+            t0 = time.perf_counter()
+            cset = self.strategy.choose(obj, dataset)
+            self.stats.choose_cset_seconds += time.perf_counter() - t0
+            self.stats.runs += 1
+            self.stats.cset_size_total += len(cset)
+            widest = max(widest, len(cset))
+            if csets and (len(csets) + 1) * widest * per_cand > CHUNK_ELEMENTS:
+                refine(first, i, csets)
+                first, csets, widest = i, [], max(1, len(cset))
+            csets.append(cset)
+        if csets:
+            refine(first, len(objs), csets)
+        return results
+
     def compute_ubr(
         self, obj: UncertainObject, dataset: UncertainDataset
     ) -> SEResult:
         """Run SE for ``obj`` against ``dataset`` (Algorithm 1)."""
-        t0 = time.perf_counter()
-        self.strategy.bind(dataset)
-        cset = self.strategy.choose(obj, dataset)
-        t1 = time.perf_counter()
-        result = self.refine(
-            obj,
-            cset,
-            dataset.domain,
-            lower=obj.region,
-            upper=dataset.domain,
-        )
-        t2 = time.perf_counter()
-        self.stats.choose_cset_seconds += t1 - t0
-        self.stats.ubr_seconds += t2 - t1
-        self.stats.runs += 1
-        self.stats.cset_sizes.append(len(cset))
-        return result
+        return self.compute_ubrs([obj], dataset)[0]
 
     def refine(
         self,
@@ -161,102 +222,136 @@ class ShrinkExpand:
         lower: Rect,
         upper: Rect,
     ) -> SEResult:
-        """The shrink/expand loop with explicit warm-start bounds.
+        """The shrink/expand loop for one object (see :meth:`refine_many`).
 
-        ``lower`` must be contained in the cell's MBR and ``upper`` must
-        contain it; the standard run uses ``u(o)`` and ``D``, the
-        incremental variants pass old UBRs (Section VI-B, Steps 3).
+        ``domain`` is Algorithm 1's ``D``; the bounds already lie in it.
         """
-        if not upper.contains_rect(lower):
-            # A stale warm start (e.g. old UBR marginally tighter than
-            # the new bound) is reconciled conservatively.
-            lower = upper.intersection(lower) or Rect(
-                np.clip(lower.lo, upper.lo, upper.hi),
-                np.clip(lower.hi, upper.lo, upper.hi),
-            )
-        tester = DominationTester(m_max=self.config.m_max)
-        h_lo = upper.lo.copy()
-        h_hi = upper.hi.copy()
-        l_lo = lower.lo.copy()
-        l_hi = lower.hi.copy()
-        d = domain.dims
-        delta = self.config.delta
-        iterations = 0
-        # Working candidate arrays.  Candidates whose dominated region
-        # provably misses the current h(o) can never prove emptiness for
-        # any future slab (slabs only shrink with h), so they are culled
-        # once per sweep — the effective C-set collapses toward the
-        # object's true V-set as the sandwich tightens.
-        act_los = cset.los
-        act_his = cset.his
+        return self.refine_many([obj], [cset], [lower], [upper])[0]
 
-        def gap() -> float:
-            return float(
-                max(np.max(l_lo - h_lo), np.max(h_hi - l_hi))
-            )
-
-        while gap() >= delta and gap() > 0:
-            iterations += 1
-            if len(act_los):
-                mins, _ = margin_bounds_batch(
-                    act_los, act_his, obj.region, Rect(h_lo, h_hi)
-                )
-                live = mins < 0.0
-                if not live.all():
-                    act_los = act_los[live]
-                    act_his = act_his[live]
-            for j in range(d):
-                # direction "low": the face at h_lo[j] vs l_lo[j].
-                if l_lo[j] - h_lo[j] >= delta:
-                    mid = (h_lo[j] + l_lo[j]) / 2.0
-                    slab_lo = h_lo.copy()
-                    slab_hi = h_hi.copy()
-                    slab_hi[j] = mid
-                    if self._slab_empty(
-                        tester, Rect(slab_lo, slab_hi), act_los,
-                        act_his, obj,
-                    ):
-                        h_lo[j] = mid
-                        self.stats.shrinks += 1
-                    else:
-                        l_lo[j] = mid
-                        self.stats.expands += 1
-                # direction "high": the face at h_hi[j] vs l_hi[j].
-                if h_hi[j] - l_hi[j] >= delta:
-                    mid = (h_hi[j] + l_hi[j]) / 2.0
-                    slab_lo = h_lo.copy()
-                    slab_hi = h_hi.copy()
-                    slab_lo[j] = mid
-                    if self._slab_empty(
-                        tester, Rect(slab_lo, slab_hi), act_los,
-                        act_his, obj,
-                    ):
-                        h_hi[j] = mid
-                        self.stats.shrinks += 1
-                    else:
-                        l_hi[j] = mid
-                        self.stats.expands += 1
-        self.stats.iterations += iterations
-        self.stats.emptiness_tests += tester.stats.tests
-        return SEResult(
-            ubr=Rect(h_lo, h_hi),
-            lower=Rect(l_lo, l_hi),
-            iterations=iterations,
-            cset_size=len(cset),
-        )
-
-    def _slab_empty(
+    def refine_many(
         self,
-        tester: DominationTester,
-        slab: Rect,
-        act_los,
-        act_his,
-        obj: UncertainObject,
-    ) -> bool:
-        """Step 9 of Algorithm 1: ``R^ρ_j ∩ I(Cset(o), o) = ∅``?"""
-        return not tester.region_intersects_nondominated(
-            slab, act_los, act_his, obj.region
-        )
+        objs: Sequence[UncertainObject],
+        csets: Sequence[CSet],
+        lowers: Sequence[Rect],
+        uppers: Sequence[Rect],
+    ) -> list[SEResult]:
+        """The shrink/expand loop for many objects at once, in lockstep.
+
+        ``lowers[i]`` must be contained in object ``i``'s cell MBR and
+        ``uppers[i]`` must contain it; the standard run uses ``u(o)``
+        and ``D``, the incremental variants pass old UBRs (Section VI-B,
+        Step 3).  A stale lower bound poking out of its upper bound
+        (e.g. an old UBR marginally tighter than the new bound) is
+        clipped into it, which is the intersection whenever they
+        overlap.
+
+        Each object's computation is exactly the one-object loop: rows
+        stop independently, each sweep first culls the candidates whose
+        dominated region misses the row's current ``h(o)`` (they can
+        never prove a future slab empty, since slabs only shrink with
+        ``h``), and each (dimension, direction) step tests only the rows
+        whose gap there is still at least Δ.
+        """
+        k = len(objs)
+        if k == 0:
+            return []
+        d = objs[0].region.dims
+        delta = self.config.delta
+        m_max = self.config.m_max
+
+        b_lo = np.array([o.region.lo for o in objs])
+        b_hi = np.array([o.region.hi for o in objs])
+        h_lo = np.array([u.lo for u in uppers])
+        h_hi = np.array([u.hi for u in uppers])
+        l_lo = np.clip(np.array([lw.lo for lw in lowers]), h_lo, h_hi)
+        l_hi = np.clip(np.array([lw.hi for lw in lowers]), h_lo, h_hi)
+        sizes = np.array([len(c) for c in csets])
+        n = int(sizes.max())
+        a_lo = np.zeros((k, n, d))
+        a_hi = np.zeros((k, n, d))
+        for i, c in enumerate(csets):
+            if len(c):
+                a_lo[i, : len(c)] = c.los
+                a_hi[i, : len(c)] = c.his
+        valid = np.arange(n) < sizes[:, None]
+
+        out_h_lo = np.empty((k, d))
+        out_h_hi = np.empty((k, d))
+        out_l_lo = np.empty((k, d))
+        out_l_hi = np.empty((k, d))
+        iterations = np.zeros(k, dtype=np.int64)
+        rows = np.arange(k)  # the original index of each running row
+        tests = shrinks = expands = 0
+
+        while True:
+            gap = np.maximum(
+                (l_lo - h_lo).max(axis=1), (h_hi - l_hi).max(axis=1)
+            )
+            go = (gap >= delta) & (gap > 0)
+            if not go.all():
+                done = rows[~go]
+                out_h_lo[done] = h_lo[~go]
+                out_h_hi[done] = h_hi[~go]
+                out_l_lo[done] = l_lo[~go]
+                out_l_hi[done] = l_hi[~go]
+                if not go.any():
+                    break
+                rows = rows[go]
+                h_lo, h_hi, l_lo, l_hi = h_lo[go], h_hi[go], l_lo[go], l_hi[go]
+                b_lo, b_hi = b_lo[go], b_hi[go]
+                a_lo, a_hi, valid = a_lo[go], a_hi[go], valid[go]
+            iterations[rows] += 1
+
+            _, mins = margin_extrema(
+                a_lo, a_hi, b_lo[:, None, :], b_hi[:, None, :],
+                h_lo[:, None, :], h_hi[:, None, :], want_min=True,
+            )
+            live = valid & (mins < 0.0)
+            if (live != valid).any():
+                a_lo, a_hi, valid = compact_candidates(live, a_lo, a_hi)
+
+            for j in range(d):
+                for low in (True, False):
+                    if low:
+                        need = l_lo[:, j] - h_lo[:, j] >= delta
+                        mid = (h_lo[:, j] + l_lo[:, j]) / 2.0
+                    else:
+                        need = h_hi[:, j] - l_hi[:, j] >= delta
+                        mid = (h_hi[:, j] + l_hi[:, j]) / 2.0
+                    sel = np.flatnonzero(need)
+                    if not len(sel):
+                        continue
+                    # The slab between the plane and h(o)'s face.
+                    slab_lo, slab_hi = h_lo[sel], h_hi[sel]
+                    (slab_hi if low else slab_lo)[:, j] = mid[sel]
+                    hit, _ = intersects_nondominated_batch(
+                        slab_lo, slab_hi, a_lo[sel], a_hi[sel], valid[sel],
+                        b_lo[sel], b_hi[sel], m_max,
+                    )
+                    shrink, expand = sel[~hit], sel[hit]
+                    if low:
+                        h_lo[shrink, j] = mid[shrink]
+                        l_lo[expand, j] = mid[expand]
+                    else:
+                        h_hi[shrink, j] = mid[shrink]
+                        l_hi[expand, j] = mid[expand]
+                    tests += len(sel)
+                    shrinks += len(shrink)
+                    expands += len(expand)
+
+        self.stats.iterations += int(iterations.sum())
+        self.stats.emptiness_tests += tests
+        self.stats.shrinks += shrinks
+        self.stats.expands += expands
+        return [
+            SEResult(
+                ubr=Rect(out_h_lo[i], out_h_hi[i]),
+                lower=Rect(out_l_lo[i], out_l_hi[i]),
+                iterations=int(iterations[i]),
+                cset_size=len(csets[i]),
+            )
+            for i in range(k)
+        ]
 
     # ------------------------------------------------------------------
     # Incremental variants (Section VI-B)
@@ -273,23 +368,7 @@ class ShrinkExpand:
         contained the old cell and is contained in the new MBR's upper
         bound region only as a *lower* bound) warm-starts ``l(o)``.
         """
-        t0 = time.perf_counter()
-        self.strategy.bind(dataset)
-        cset = self.strategy.choose(obj, dataset)
-        t1 = time.perf_counter()
-        result = self.refine(
-            obj,
-            cset,
-            dataset.domain,
-            lower=old_ubr,
-            upper=dataset.domain,
-        )
-        t2 = time.perf_counter()
-        self.stats.choose_cset_seconds += t1 - t0
-        self.stats.ubr_seconds += t2 - t1
-        self.stats.runs += 1
-        self.stats.cset_sizes.append(len(cset))
-        return result
+        return self.compute_ubrs([obj], dataset, lowers=[old_ubr])[0]
 
     def recompute_after_insertion(
         self,
@@ -302,21 +381,4 @@ class ShrinkExpand:
         By Lemma 9 the PV-cell cannot grow, so ``old_ubr`` warm-starts
         ``h(o)`` — SE starts from a much smaller upper bound than ``D``.
         """
-        t0 = time.perf_counter()
-        self.strategy.bind(dataset)
-        cset = self.strategy.choose(obj, dataset)
-        t1 = time.perf_counter()
-        lower = obj.region
-        result = self.refine(
-            obj,
-            cset,
-            dataset.domain,
-            lower=lower,
-            upper=old_ubr,
-        )
-        t2 = time.perf_counter()
-        self.stats.choose_cset_seconds += t1 - t0
-        self.stats.ubr_seconds += t2 - t1
-        self.stats.runs += 1
-        self.stats.cset_sizes.append(len(cset))
-        return result
+        return self.compute_ubrs([obj], dataset, uppers=[old_ubr])[0]

@@ -33,10 +33,11 @@ from .domination import (
     max_domination_margin,
     region_fully_dominated,
 )
-from .rect import Rect
+from .rect import Rect, corner_bits
 
 __all__ = [
     "Rect",
+    "corner_bits",
     "mindist_point_rect",
     "maxdist_point_rect",
     "mindist_sq_point_rect",

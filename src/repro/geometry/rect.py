@@ -12,11 +12,25 @@ are stored as two ``float64`` numpy arrays ``lo`` and ``hi`` with
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Rect"]
+__all__ = ["Rect", "corner_bits"]
+
+
+@lru_cache(maxsize=None)
+def corner_bits(d: int) -> np.ndarray:
+    """``(2^d, d)`` boolean mask: entry ``[c, j]`` is bit ``j`` of ``c``.
+
+    Row ``c`` picks, per dimension, the upper (True) or lower bound of
+    corner ``c`` — equivalently, the half-spaces of orthant ``c`` around
+    a split point.  Cached and read-only.
+    """
+    bits = ((np.arange(1 << d)[:, None] >> np.arange(d)) & 1).astype(bool)
+    bits.flags.writeable = False
+    return bits
 
 
 class Rect:
@@ -180,12 +194,7 @@ class Rect:
         visualisation, never for the hot path (the paper's whole point is
         avoiding corner enumeration).
         """
-        d = self.dims
-        out = np.empty((1 << d, d))
-        for j in range(d):
-            mask = (np.arange(1 << d) >> j) & 1
-            out[:, j] = np.where(mask, self.hi[j], self.lo[j])
-        return out
+        return np.where(corner_bits(self.dims), self.hi, self.lo)
 
     def split_at(self, dim: int, coord: float) -> tuple["Rect", "Rect"]:
         """Split into (low part, high part) at ``coord`` along ``dim``.

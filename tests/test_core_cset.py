@@ -12,7 +12,8 @@ from repro import (
     UncertainObject,
     synthetic_dataset,
 )
-from repro.core.cset import CSet
+from repro.core.cset import CSet, rank_by_mean
+from reference_se import RTreeFixedSelection, RTreeIncrementalSelection
 from repro.uncertain import uniform_pdf
 
 
@@ -49,7 +50,6 @@ class TestFixedSelection:
     def test_returns_k_nearest_means(self):
         ds = synthetic_dataset(n=60, dims=2, n_samples=2, seed=1)
         strategy = FixedSelection(k=10)
-        strategy.bind(ds)
         obj = ds[ds.ids[0]]
         cset = strategy.choose(obj, ds)
         assert len(cset) == 10
@@ -139,27 +139,63 @@ class TestIncrementalSelection:
         parts = IncrementalSelection._touched_partitions(cand, mean, 2)
         assert parts == [3]
 
-    def test_notify_insert_delete_maintain_tree(self):
+    def test_choose_follows_insert_and_delete(self):
+        """The ranking reads the live dataset: a new neighbour is chosen
+        right after its insertion and is gone right after its deletion,
+        and every choice equals one over a fresh copy of the dataset."""
         ds = synthetic_dataset(n=40, dims=2, n_samples=2, seed=4)
         strategy = IncrementalSelection(kpartition=2, kglobal=30)
-        strategy.bind(ds)
-        new = make_obj(999, [5000, 5000], half=10)
+        obj = ds[ds.ids[0]]
+        strategy.choose(obj, ds)
+        new = make_obj(999, obj.mean + 40.0, half=1)
         ds.insert(new)
-        strategy.notify_insert(new)
-        cset = strategy.choose(ds[ds.ids[0]], ds)
-        assert len(cset) > 0
+        cset = strategy.choose(obj, ds)
+        assert 999 in cset.ids
+        fresh = UncertainDataset(list(ds), domain=ds.domain)
+        assert cset.ids.tolist() == strategy.choose(obj, fresh).ids.tolist()
         ds.delete(999)
-        strategy.notify_delete(new)
-        cset2 = strategy.choose(ds[ds.ids[0]], ds)
+        cset2 = strategy.choose(obj, ds)
         assert 999 not in cset2.ids
+        fresh = UncertainDataset(list(ds), domain=ds.domain)
+        assert cset2.ids.tolist() == strategy.choose(obj, fresh).ids.tolist()
 
 
-class TestStrategyRebinding:
-    def test_rebinds_on_new_dataset(self):
+class TestRanking:
+    def test_ranks_each_dataset_it_is_given(self):
+        """One strategy object serves unrelated datasets in turn."""
         ds1 = synthetic_dataset(n=20, dims=2, n_samples=2, seed=5)
         ds2 = synthetic_dataset(n=25, dims=2, n_samples=2, seed=6)
         strategy = FixedSelection(k=5)
-        c1 = strategy.choose(ds1[ds1.ids[0]], ds1)
-        c2 = strategy.choose(ds2[ds2.ids[0]], ds2)
-        assert len(c1) == 5 and len(c2) == 5
-        assert set(c2.ids.tolist()) <= set(ds2.ids)
+        for ds in (ds1, ds2, ds1):
+            obj = ds[ds.ids[0]]
+            cset = strategy.choose(obj, ds)
+            brute = sorted(
+                (o for o in ds if o.oid != obj.oid),
+                key=lambda o: float(np.sum((o.mean - obj.mean) ** 2)),
+            )[:5]
+            assert cset.ids.tolist() == [o.oid for o in brute]
+            assert set(cset.ids.tolist()) <= set(ds.ids)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_order_matches_rtree_browse(self, dims):
+        """On tie-free data the numpy ranking is the R*-tree's
+        distance-browsing order, and FS/IS pick what the tree-backed
+        strategies picked."""
+        ds = synthetic_dataset(n=120, dims=dims, u_max=400, n_samples=2,
+                               seed=7 + dims)
+        ref_is = RTreeIncrementalSelection(kpartition=4, kglobal=60)
+        ref_fs = RTreeFixedSelection(k=25)
+        new_is = IncrementalSelection(kpartition=4, kglobal=60)
+        new_fs = FixedSelection(k=25)
+        ids = np.asarray(ds.ids)
+        for oid in ds.ids[:15]:
+            obj = ds[oid]
+            assert (
+                ids[rank_by_mean(obj, ds)].tolist()
+                == ref_is.browse(obj, ds)
+            )
+            for new, ref in ((new_is, ref_is), (new_fs, ref_fs)):
+                got, want = new.choose(obj, ds), ref.choose(obj, ds)
+                assert got.ids.tolist() == want.ids.tolist()
+                assert np.array_equal(got.los, want.los)
+                assert np.array_equal(got.his, want.his)
