@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Mapping, Protocol, Sequence
 
 from ..engine import CostEstimate, FrozenDict, expected_candidates
+from ..engine.cost import min_max_scan_us
 
 __all__ = [
     "Plan",
@@ -53,9 +54,9 @@ class PlanningError(ValueError):
 # Static (pre-build) cost formulas, one per retriever handle.
 # ----------------------------------------------------------------------
 def _static_brute(n: int, dims: int) -> CostEstimate:
-    # One broadcasted numpy pass over all n regions; no index pages.
+    # One min/max kernel pass over all n regions; no index pages.
     return CostEstimate(
-        step1_us=20.0 + 0.012 * n * dims,
+        step1_us=min_max_scan_us(n, dims),
         page_reads=0.0,
         candidates=expected_candidates(n, dims),
     )

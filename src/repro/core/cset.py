@@ -49,14 +49,24 @@ class CSet:
         return len(self.ids)
 
     @classmethod
+    def empty(cls, dims: int) -> "CSet":
+        """A candidate set with no members in ``dims`` dimensions."""
+        return cls(
+            ids=np.empty(0, dtype=np.int64),
+            los=np.empty((0, dims)),
+            his=np.empty((0, dims)),
+        )
+
+    @classmethod
     def from_objects(cls, objects: list[UncertainObject]) -> "CSet":
-        """Pack a list of uncertain objects."""
+        """Pack a non-empty list of uncertain objects.
+
+        An empty list cannot tell the dimensionality; use
+        :meth:`empty` for that.
+        """
         if not objects:
-            d = 0
-            return cls(
-                ids=np.empty(0, dtype=np.int64),
-                los=np.empty((0, d)),
-                his=np.empty((0, d)),
+            raise ValueError(
+                "cannot pack an empty object list; use CSet.empty(dims)"
             )
         return cls(
             ids=np.array([o.oid for o in objects], dtype=np.int64),

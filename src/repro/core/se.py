@@ -270,9 +270,8 @@ class ShrinkExpand:
         a_lo = np.zeros((k, n, d))
         a_hi = np.zeros((k, n, d))
         for i, c in enumerate(csets):
-            if len(c):
-                a_lo[i, : len(c)] = c.los
-                a_hi[i, : len(c)] = c.his
+            a_lo[i, : len(c)] = c.los
+            a_hi[i, : len(c)] = c.his
         valid = np.arange(n) < sizes[:, None]
 
         out_h_lo = np.empty((k, d))

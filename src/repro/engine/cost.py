@@ -21,9 +21,10 @@ Units
 -----
 * ``step1_us`` — estimated Step-1 (object retrieval) wall-clock in
   microseconds *for this pure-Python implementation*.  Constants were
-  fitted to the relative costs of the code paths: one broadcasted numpy
-  element costs ~0.01 µs, one Python-level per-entry step ~1 µs, one
-  octree/R-tree node visit a few µs.
+  fitted to the relative costs of the code paths: one element of the
+  min/max kernel costs ~0.005–0.012 µs (see :func:`min_max_scan_us`),
+  packing one index entry for it ~0.45 µs, one Python-level per-entry
+  step ~1 µs, one octree/R-tree node visit a few µs.
 * ``page_reads`` — estimated simulated page reads per query (the
   quantity of Figures 9(c)/(g)).  Wall-clock and page I/O are kept as
   separate axes because the simulated pager costs no real time here but
@@ -36,7 +37,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CostEstimate", "expected_candidates"]
+__all__ = ["CostEstimate", "expected_candidates", "min_max_scan_us"]
+
+
+def min_max_scan_us(n: float, dims: int) -> float:
+    """Per-query wall-clock of the min/max filter over ``n`` regions.
+
+    The brute-force Step 1, static and built, and each shard's part of
+    it.  The constants were fitted to the broadcast kernel that
+    :func:`repro.engine.retrievers.minmax_sq_chunks` replaced; the
+    per-dimension kernel measures about ``30 + 0.005 n d`` µs
+    (single queries, n = 250..16000, d = 2..4, 2-vCPU x86-64 host,
+    numpy 2.4).  They stay until the static R-tree formula, which is
+    weighed against them, is re-fitted too: with the new constants the
+    planner would pick brute force over an unbuilt R-tree at n = 8000,
+    d = 2.
+    """
+    return 20.0 + 0.012 * n * dims
 
 
 def expected_candidates(n: int, dims: int) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..storage.pager import Pager
 from ..uncertain import UncertainDataset
-from .cost import CostEstimate, expected_candidates
+from .cost import CostEstimate, expected_candidates, min_max_scan_us
 
 __all__ = [
     "Retriever",
@@ -46,11 +46,18 @@ def minmax_sq_chunks(queries: np.ndarray, los: np.ndarray,
                      his: np.ndarray):
     """Yield ``(min_sq, max_sq)`` blocks for a batch of query points.
 
-    The one broadcasted min/max squared-distance kernel every batched
-    Step-1 filter shares: for each chunk of ``queries`` it yields the
-    ``(chunk, n)`` squared min/max distances to every region.  Callers
-    differ only in the pruning bound they derive (smallest max for
-    PNNQ, k-th smallest max for k-PNN).  The chunk height is
+    The one min/max squared-distance kernel every Step-1 filter shares
+    (brute force, k-PNN, shards and the PV-index leaf filter): for each
+    chunk of ``queries`` it yields the ``(chunk, n)`` squared min/max
+    distances to every region.  Callers differ only in the pruning
+    bound they derive (smallest max for PNNQ, k-th smallest max for
+    k-PNN).
+
+    The loop runs over the ``d`` dimensions, each step a dense
+    ``(chunk, n)`` block, and adds the per-dimension squares left to
+    right (``((t_0 + t_1) + t_2) + ...``, the order of
+    :func:`repro.geometry.domination._sum_dims`), so every caller
+    rounds identically.  The chunk height is
     ``min(BATCH_CHUNK, element budget / (n * d))`` so peak memory is
     bounded for large databases as well as large batches.
     """
@@ -58,18 +65,24 @@ def minmax_sq_chunks(queries: np.ndarray, los: np.ndarray,
     rows = max(1, min(BATCH_CHUNK, _CHUNK_ELEMENT_BUDGET // max(n * d, 1)))
     for start in range(0, len(queries), rows):
         chunk = queries[start:start + rows]
-        # (chunk, n, d) clearance of each query from each region.
-        gap = np.maximum(
-            np.maximum(los[None, :, :] - chunk[:, None, :],
-                       chunk[:, None, :] - his[None, :, :]),
-            0.0,
-        )
-        min_sq = np.einsum("bnd,bnd->bn", gap, gap)
-        far = np.maximum(
-            np.abs(chunk[:, None, :] - los[None, :, :]),
-            np.abs(chunk[:, None, :] - his[None, :, :]),
-        )
-        max_sq = np.einsum("bnd,bnd->bn", far, far)
+        min_sq = max_sq = None
+        for k in range(d):
+            q_k = chunk[:, k, None]
+            below = los[:, k] - q_k  # > 0 where q lies below the region
+            above = q_k - his[:, k]  # > 0 where q lies above it
+            gap = np.maximum(below, above)
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            # |q - lo| == |lo - q| exactly, so the far corner reuses
+            # the two differences.
+            far = np.abs(below, out=below)
+            np.maximum(far, np.abs(above, out=above), out=far)
+            far *= far
+            if min_sq is None:
+                min_sq, max_sq = gap, far
+            else:
+                min_sq += gap
+                max_sq += far
         yield min_sq, max_sq
 
 
@@ -102,7 +115,7 @@ class BruteForceRetriever:
         return getattr(self.dataset, "epoch", 0)
 
     def cost_estimate(self) -> CostEstimate:
-        """Per-query cost: one broadcasted pass over all ``n`` regions.
+        """Per-query cost: one min/max kernel pass over all ``n`` regions.
 
         Pure CPU — no index pages exist to read.  The linear ``n * d``
         term is cheap per element (numpy) but unbounded, which is
@@ -112,7 +125,7 @@ class BruteForceRetriever:
         n = len(self.dataset)
         d = self.dataset.dims
         return CostEstimate(
-            step1_us=20.0 + 0.012 * n * d,
+            step1_us=min_max_scan_us(n, d),
             page_reads=0.0,
             candidates=expected_candidates(n, d),
             source="index",

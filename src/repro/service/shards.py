@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine.cost import CostEstimate, expected_candidates
+from ..engine.cost import CostEstimate, expected_candidates, min_max_scan_us
 from ..engine.retrievers import minmax_sq_chunks
 from ..engine.stats import ExecutionStats
 from ..geometry import Rect
@@ -276,7 +276,7 @@ class ShardedRetriever:
         s = max(len(self.layout), 1)
         surviving = max(1.0, s / 2.0)
         return CostEstimate(
-            step1_us=20.0 + 0.012 * n * d * (surviving / s),
+            step1_us=min_max_scan_us(n * surviving / s, d),
             page_reads=0.0,
             candidates=expected_candidates(n, d),
             source="index",

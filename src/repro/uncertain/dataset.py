@@ -91,6 +91,13 @@ class UncertainDataset:
                     )
         self.domain = domain
         self._objects: dict[int, UncertainObject] = {o.oid: o for o in objs}
+        # Packed regions: capacity-doubling buffers whose first
+        # ``_packed_n`` rows mirror ``_objects`` in order, built lazily
+        # once and then maintained by every mutation (see
+        # :meth:`packed_regions`).
+        self._packed_bufs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+        self._packed_bufs = None
+        self._packed_n = 0
         self._packed_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None
         self._packed_cache = None
         # ``epoch`` restores a recovered dataset's mutation clock (the
@@ -158,18 +165,63 @@ class UncertainDataset:
     def packed_regions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(ids, los, his)`` packed corner arrays for all objects.
 
-        The result is cached and invalidated by :meth:`insert` /
-        :meth:`delete`; hot paths (C-set selection, PV-cell ground truth)
-        use it instead of iterating :class:`Rect` objects.
+        Rows follow :attr:`ids` order.  Packed once on first use under
+        the store lock (a build racing a mutation would otherwise miss
+        the new object for good), then maintained by :meth:`insert`
+        (one appended row, amortised O(d) through capacity doubling) and
+        :meth:`delete` (fresh arrays without the row).  Hot paths (Step
+        1, C-set selection, PV-cell ground truth) use it instead of
+        iterating :class:`Rect` objects.
+
+        A returned tuple never changes afterwards: appends write only
+        past every view handed out so far, and deletes and growth move
+        to new buffers, so callers on other threads may keep reading it.
         """
-        if self._packed_cache is None:
-            ids = np.fromiter(
-                self._objects.keys(), dtype=np.int64, count=len(self)
-            )
-            los = np.array([o.region.lo for o in self._objects.values()])
-            his = np.array([o.region.hi for o in self._objects.values()])
-            self._packed_cache = (ids, los, his)
-        return self._packed_cache
+        packed = self._packed_cache
+        if packed is None:
+            with self._store_lock:
+                if self._packed_bufs is None:
+                    objs = list(self._objects.values())
+                    self._packed_bufs = (
+                        np.array([o.oid for o in objs], dtype=np.int64),
+                        np.array([o.region.lo for o in objs], dtype=float),
+                        np.array([o.region.hi for o in objs], dtype=float),
+                    )
+                    self._packed_n = len(objs)
+                ids, los, his = (
+                    buf[: self._packed_n] for buf in self._packed_bufs
+                )
+                for view in (ids, los, his):
+                    view.flags.writeable = False
+                packed = self._packed_cache = (ids, los, his)
+        return packed
+
+    def _packed_append(self, obj: UncertainObject) -> None:
+        """Append ``obj``'s row to the packed buffers (store lock held)."""
+        assert self._packed_bufs is not None
+        n = self._packed_n
+        if n == len(self._packed_bufs[0]):
+            cap = max(2 * n, 64)
+            grown = []
+            for buf in self._packed_bufs:
+                new = np.empty((cap,) + buf.shape[1:], dtype=buf.dtype)
+                new[:n] = buf[:n]
+                grown.append(new)
+            self._packed_bufs = (grown[0], grown[1], grown[2])
+        ids, los, his = self._packed_bufs
+        ids[n] = obj.oid
+        los[n] = obj.region.lo
+        his[n] = obj.region.hi
+        self._packed_n = n + 1
+
+    def _packed_remove(self, oid: int) -> None:
+        """Drop ``oid``'s row into fresh buffers (store lock held)."""
+        assert self._packed_bufs is not None
+        n = self._packed_n
+        ids, los, his = (buf[:n] for buf in self._packed_bufs)
+        keep = ids != oid
+        self._packed_bufs = (ids[keep], los[keep], his[keep])
+        self._packed_n = n - 1
 
     def means(self) -> np.ndarray:
         """``(n, d)`` array of object mean positions (dataset order)."""
@@ -276,6 +328,8 @@ class UncertainDataset:
         with self._store_lock:
             self._notify("insert", obj, self._epoch + 1)
             self._objects[obj.oid] = obj
+            if self._packed_bufs is not None:
+                self._packed_append(obj)
             self._packed_cache = None
             self._rows[obj.oid] = self._next_row
             self._next_row += 1
@@ -296,6 +350,8 @@ class UncertainDataset:
                 )
             self._notify("delete", obj, self._epoch + 1)
             del self._objects[oid]
+            if self._packed_bufs is not None:
+                self._packed_remove(oid)
             self._packed_cache = None
             del self._rows[oid]
             self._epoch += 1

@@ -219,6 +219,8 @@ class RTreeFixedSelection(_RTreeBackedStrategy):
     def choose(self, obj, dataset) -> CSet:
         tree = self._ensure_tree(dataset)
         hits = tree.knn(obj.mean, self.k, skip=lambda e: e.key == obj.oid)
+        if not hits:
+            return CSet.empty(dataset.dims)
         return CSet.from_objects([dataset[e.key] for _, e in hits])
 
 
@@ -263,6 +265,8 @@ class RTreeIncrementalSelection(_RTreeBackedStrategy):
             selected.append(cand)
             if np.all(counters >= self.kpartition):
                 break
+        if not selected:
+            return CSet.empty(d)
         return CSet.from_objects(selected)
 
     @staticmethod

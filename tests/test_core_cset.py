@@ -32,8 +32,11 @@ class TestCSetContainer:
         assert cset.los.shape == (2, 2)
 
     def test_empty(self):
-        cset = CSet.from_objects([])
+        cset = CSet.empty(3)
         assert len(cset) == 0
+        assert cset.los.shape == cset.his.shape == (0, 3)
+        with pytest.raises(ValueError):
+            CSet.from_objects([])
 
 
 class TestAllCSet:

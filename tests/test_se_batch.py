@@ -6,7 +6,9 @@ exactly: the same UBRs, lower bounds and iteration counts, bit for bit,
 and the same SE counters.  The batched emptiness test is pinned row by
 row against the scalar ``DominationTester`` it replaced, and a seeded
 PV-index churn run is replayed through the reference to check that
-maintenance ends with identical UBRs and counters.
+maintenance ends with identical UBRs and counters.  The same churn
+pins the packed Lemma 8 filter against the per-object loop it replaced
+(``tests/reference_step1.py``).
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from reference_se import (
     RTreeFixedSelection,
     RTreeIncrementalSelection,
 )
+from reference_step1 import reference_affected_objects
 from repro import (
     FixedSelection,
     IncrementalSelection,
@@ -130,7 +133,7 @@ def _warm_start_batch(seed, dims, rng):
             lower = Rect(obj.region.lo - 700.0, obj.region.hi + 700.0)
             cset, upper = strategy.choose(obj, full), old
         else:
-            cset = CSet.from_objects([])
+            cset = CSet.empty(full.dims)
             lower, upper = obj.region, full.domain
         objs.append(obj)
         csets.append(cset)
@@ -260,3 +263,37 @@ def test_churn_matches_sequential_reference(monkeypatch):
     assert_same_counters(new.se.stats, ref.se.stats)
     assert new.stats.cells_recomputed == ref.stats.cells_recomputed
     assert new.stats.insert_seconds > 0 and new.stats.delete_seconds > 0
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_affected_filter_matches_per_object_reference(dims, monkeypatch):
+    """The packed Lemma 8 filter examines, probes and selects exactly
+    what the per-object loop did: same UBRs, counters and page I/O."""
+    config = SEConfig(delta=25.0, m_max=6)
+    packed = PVIndex._affected_objects
+
+    def run(affected):
+        monkeypatch.setattr(PVIndex, "_affected_objects", affected)
+        ds = synthetic_dataset(n=30, dims=dims, u_max=300, n_samples=2,
+                               seed=21)
+        index = PVIndex.build(
+            ds,
+            strategy=IncrementalSelection(kpartition=2, kglobal=16),
+            se_config=config,
+        )
+        extra = synthetic_dataset(n=60, dims=dims, u_max=300, n_samples=2,
+                                  seed=22)
+        _churn(index, extra, n_deletes=20)
+        return index
+
+    ref = run(reference_affected_objects)
+    new = run(packed)
+    assert new.dataset.ids == ref.dataset.ids
+    for oid in ref.dataset.ids:
+        a, b = new.ubr_of(oid), ref.ubr_of(oid)
+        assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+    for name in ("update_examined", "update_affected", "cells_recomputed"):
+        assert getattr(new.stats, name) == getattr(ref.stats, name), name
+    assert new.stats.update_affected > 0
+    assert new.pager.stats.reads == ref.pager.stats.reads
+    assert new.pager.stats.writes == ref.pager.stats.writes
