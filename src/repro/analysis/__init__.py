@@ -1,10 +1,8 @@
 """Project-specific static analysis + runtime sanitizers.
 
-Four checkers, each grounded in a bug class this repo has shipped or
+Three checkers, each grounded in a bug class this repo has shipped or
 nearly shipped (run them all with ``python -m repro.analysis``):
 
-* :mod:`.stats_check` — every ``ExecutionStats`` field wired through
-  all six sync methods, capture/delta tuple positions consistent;
 * :mod:`.lock_check` — static ``with``-nesting check against the
   declared lock hierarchy (:data:`.locks.LOCK_HIERARCHY`), whose
   runtime twin is the ``REPRO_SANITIZE=1`` instrumented-lock factory
@@ -55,16 +53,9 @@ def run_all(root: Path) -> list[Finding]:
     from .fault_check import check_fault_sites
     from .lock_check import check_lock_order
     from .process_check import check_process_safety
-    from .stats_check import check_stats
 
     src = root / "src" / "repro"
     findings: list[Finding] = []
-    findings.extend(
-        check_stats(
-            src / "engine" / "stats.py",
-            rel="src/repro/engine/stats.py",
-        )
-    )
     findings.extend(
         check_lock_order(
             _sources(

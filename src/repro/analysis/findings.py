@@ -27,8 +27,8 @@ __all__ = ["Finding", "load_baseline", "save_baseline"]
 class Finding:
     """One violation of a project invariant.
 
-    ``checker`` names the pass (``stats``, ``lock-order``,
-    ``fault-sites``, ``process-safety``); ``code`` is a short stable
+    ``checker`` names the pass (``lock-order``, ``fault-sites``,
+    ``process-safety``); ``code`` is a short stable
     identifier for the rule within it.
     """
 

@@ -29,7 +29,6 @@ All seven query classes of the repository are one method each —
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
@@ -695,9 +694,6 @@ class Database:
             )
         with self._lock:
             self._observe(plan, delta)
-        durable = self._durable
-        if durable is not None and durable.read_only:
-            delta.degraded_mode = 1
         return [
             QueryResult(kind=kind, answer=answer, plan=plan, stats=delta)
             for answer in answers

@@ -11,7 +11,6 @@ from .pnnq import (
     PNNQEngine,
     PNNQResult,
     Retriever,
-    StepTimes,
     qualification_probabilities,
 )
 from .pvcell import (
@@ -53,7 +52,6 @@ __all__ = [
     "PNNQEngine",
     "PNNQResult",
     "Retriever",
-    "StepTimes",
     "qualification_probabilities",
     "pv_cell_contains",
     "pv_cell_contains_many",

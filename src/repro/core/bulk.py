@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..storage import OctreeConfig, PagedOctree, Pager
-from ..storage.exthash import ExtensibleHashTable
+from ..storage import OctreeConfig, Pager
 from ..uncertain import UncertainDataset
-from .cset import CSetStrategy, IncrementalSelection
+from .cset import CSetStrategy
 from .pvindex import PVIndex
-from .se import SEConfig, ShrinkExpand
+from .se import SEConfig
 
 __all__ = ["BulkBuildReport", "CompactionReport", "bulk_build", "compact"]
 
@@ -101,22 +100,9 @@ def bulk_build(
     t0 = time.perf_counter()
     pager = pager or Pager()
     writes_before = pager.stats.writes
-    se = ShrinkExpand(
-        strategy=strategy or IncrementalSelection(),
-        config=se_config or SEConfig(),
+    index = PVIndex._empty(
+        dataset, strategy, se_config, octree_config, pager
     )
-    primary = PagedOctree(
-        domain=dataset.domain,
-        pager=pager,
-        config=octree_config or OctreeConfig(),
-    )
-    sample_obj = next(iter(dataset))
-    secondary = ExtensibleHashTable(
-        pager,
-        record_size=sample_obj.nbytes() + sample_obj.region.nbytes(),
-    )
-    index = PVIndex(dataset, se, pager, primary, secondary)
-
     index._insert_all([dataset[oid] for oid in z_order(dataset)])
     index.stats.build_seconds += time.perf_counter() - t0
     return BulkBuildReport(

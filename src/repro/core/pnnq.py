@@ -36,19 +36,11 @@ from ..engine import (
 from ..uncertain import UncertainDataset
 
 __all__ = [
-    "StepTimes",
     "PNNQResult",
     "Retriever",
     "PNNQEngine",
     "qualification_probabilities",
 ]
-
-#: Backward-compatible name: the seed tracked OR/PC wall-clock in a
-#: dedicated ``StepTimes``; the unified execution layer superseded it
-#: with :class:`~repro.engine.stats.ExecutionStats` (same fields plus
-#: I/O and reuse counters).
-StepTimes = ExecutionStats
-
 
 @dataclass(frozen=True)
 class PNNQResult:
@@ -129,10 +121,6 @@ class PNNQEngine(BaseEngine):
         Optional extensible hash table; when provided, each candidate's
         pdf fetch is routed through it so Step-2 I/O is charged (the
         PV-index passes its own secondary index here).
-
-    The legacy ``PNNQEngine(retriever, dataset)`` argument order is
-    still accepted with a :class:`DeprecationWarning` (see
-    :func:`~repro.engine.normalize_engine_args`).
 
     Timing, page I/O, and cache behavior live on :attr:`stats` (an
     :class:`~repro.engine.ExecutionStats`); ``result_cache_size`` and

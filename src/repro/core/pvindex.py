@@ -132,6 +132,23 @@ class PVIndex:
     ) -> "PVIndex":
         """Compute every UBR with SE and bulk-insert into the index."""
         t0 = time.perf_counter()
+        index = cls._empty(
+            dataset, strategy, se_config, octree_config, pager
+        )
+        index._insert_all(list(dataset))
+        index.stats.build_seconds += time.perf_counter() - t0
+        return index
+
+    @classmethod
+    def _empty(
+        cls,
+        dataset: UncertainDataset,
+        strategy: CSetStrategy | None,
+        se_config: SEConfig | None,
+        octree_config: OctreeConfig | None,
+        pager: Pager | None,
+    ) -> "PVIndex":
+        """An index over ``dataset`` with no entries inserted yet."""
         pager = pager or Pager()
         se = ShrinkExpand(
             strategy=strategy or IncrementalSelection(),
@@ -147,11 +164,7 @@ class PVIndex:
             pager,
             record_size=sample_obj.nbytes() + sample_obj.region.nbytes(),
         )
-        index = cls(dataset, se, pager, primary, secondary)
-
-        index._insert_all(list(dataset))
-        index.stats.build_seconds += time.perf_counter() - t0
-        return index
+        return cls(dataset, se, pager, primary, secondary)
 
     def _insert_all(self, objs: list[UncertainObject]) -> None:
         """SE for every object (lockstep chunks), then insert in order."""

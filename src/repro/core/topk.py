@@ -70,9 +70,6 @@ class TopKEngine(BaseEngine):
         The Step-1 index (``None`` falls back to brute force).
     n_bins:
         Histogram resolution for the pruning bounds.
-
-    The legacy ``TopKEngine(retriever, dataset, n_bins)`` order is
-    accepted with a :class:`DeprecationWarning`.
     """
 
     def __init__(

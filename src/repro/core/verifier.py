@@ -155,10 +155,9 @@ class VerifierEngine(BaseEngine):
     n_bins:
         Histogram resolution of the bounds.
 
-    The legacy ``VerifierEngine(retriever, dataset, n_bins)`` order is
-    accepted with a :class:`DeprecationWarning`.  Decision dicts are
-    returned as read-only :class:`~repro.engine.FrozenDict` objects
-    (they are shared by the LRU cache and batch dedup).
+    Decision dicts are returned as read-only
+    :class:`~repro.engine.FrozenDict` objects (they are shared by the
+    LRU cache and batch dedup).
     """
 
     def __init__(

@@ -9,7 +9,7 @@ concrete engines in :mod:`repro.core` are thin subclasses implementing
 only their probability-computation step.
 """
 
-from .base import BaseEngine, normalize_engine_args
+from .base import BaseEngine
 from .batch import (
     KERNEL_CHUNK_BYTES,
     batched_qualification_probabilities,
@@ -32,7 +32,6 @@ from .stats import ExecutionStats
 
 __all__ = [
     "BaseEngine",
-    "normalize_engine_args",
     "CostEstimate",
     "expected_candidates",
     "FrozenDict",

@@ -37,9 +37,7 @@ probability-computation step) and, where profitable, vectorized
 
 from __future__ import annotations
 
-import threading
 import time
-import warnings
 from typing import Any, Hashable, Sequence
 
 import numpy as np
@@ -51,36 +49,7 @@ from .cache import _MISS, CandidateMemo, LRUCache
 from .retrievers import Retriever, discover_pagers, resolve_retriever
 from .stats import ExecutionStats
 
-__all__ = ["BaseEngine", "normalize_engine_args"]
-
-
-def normalize_engine_args(
-    engine_name: str, dataset: Any, retriever: Any
-) -> tuple[UncertainDataset, Retriever | None]:
-    """Resolve the uniform ``(dataset, retriever)`` constructor order.
-
-    Every engine now takes ``(dataset, retriever=None, ...)``.  The
-    seed's PNNQ-family engines took ``(retriever, dataset, ...)``; that
-    order is still accepted — detected by which argument is the
-    :class:`~repro.uncertain.UncertainDataset` — with a
-    :class:`DeprecationWarning`, so existing callers keep working while
-    new code reads uniformly.
-    """
-    if isinstance(dataset, UncertainDataset):
-        return dataset, retriever
-    if isinstance(retriever, UncertainDataset):
-        warnings.warn(
-            f"{engine_name}(retriever, dataset) is deprecated; "
-            f"use {engine_name}(dataset, retriever=...) — the uniform "
-            "constructor order shared by every engine",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return retriever, dataset
-    raise TypeError(
-        f"{engine_name} requires an UncertainDataset as its first "
-        f"argument (got {type(dataset).__name__!r})"
-    )
+__all__ = ["BaseEngine"]
 
 
 class BaseEngine:
@@ -126,9 +95,11 @@ class BaseEngine:
         result_cache_size: int = 0,
         memo_radius: float = 0.0,
     ) -> None:
-        dataset, retriever = normalize_engine_args(
-            type(self).__name__, dataset, retriever
-        )
+        if not isinstance(dataset, UncertainDataset):
+            raise TypeError(
+                f"{type(self).__name__} requires an UncertainDataset as "
+                f"its first argument (got {type(dataset).__name__!r})"
+            )
         self.dataset = dataset
         self.retriever = resolve_retriever(dataset, retriever)
         #: True when the caller supplied an index (vs the fallback).
@@ -158,14 +129,6 @@ class BaseEngine:
         # A retriever built before mutations that bypassed it is stale
         # from the start — catch that here, not just on later drift.
         self._drop_stale_retriever()
-
-    # ------------------------------------------------------------------
-    # Compatibility: the seed engines exposed their timing as ``times``.
-    # ------------------------------------------------------------------
-    @property
-    def times(self) -> ExecutionStats:
-        """Alias of :attr:`stats` (the seed engines' attribute name)."""
-        return self.stats
 
     # ------------------------------------------------------------------
     # Hooks (subclasses override what differs from the default)

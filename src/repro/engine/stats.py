@@ -3,54 +3,30 @@
 The paper's evaluation splits query cost along two axes: wall-clock
 time, decomposed into Step 1 ("OR" — object retrieval) and Step 2
 ("PC" — probability computation) as in Figures 9(b)/(f), and simulated
-page I/O as in Figures 9(c)/(g).  The seed code tracked the former in
-``StepTimes`` and the latter in ``Pager.IOStats`` with ad-hoc bracketing
-in every driver; :class:`ExecutionStats` merges both into one object
-that every engine populates through the shared
+page I/O as in Figures 9(c)/(g).  :class:`ExecutionStats` carries both
+in one object that every engine populates through the shared
 :class:`~repro.engine.base.BaseEngine` template.
 
 I/O is split by phase too: ``or_io`` is the page traffic of Step 1 (the
 quantity the paper's I/O figures report — leaf accesses of the Step-1
 index) and ``pc_io`` the traffic of Step 2 (secondary-index pdf
 fetches).
+
+Every field is a counter that accumulates: the copy, capture and delta
+methods are generated from :func:`dataclasses.fields`, so a new counter
+needs only its field declaration.  Gauges (live subscriptions, degraded
+mode) are not counters and live in ``Database.describe()`` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, sub
+from typing import Any, Sequence
 
 from ..storage.pager import IOStats
 
 __all__ = ["ExecutionStats"]
-
-#: Scalar counters in :meth:`ExecutionStats.capture` tuple order (the
-#: I/O reads/writes follow at the end).  ``capture``/``delta_since``
-#: spell the attributes out for speed; keep all three in sync when
-#: adding a counter (the capture/delta equivalence test catches
-#: drift).
-_SCALAR_FIELDS = (
-    "object_retrieval",
-    "probability_computation",
-    "queries",
-    "batches",
-    "cache_hits",
-    "dedup_hits",
-    "memo_hits",
-    "invalidations",
-    "retriever_fallbacks",
-    "kernel_gather_seconds",
-    "kernel_eval_seconds",
-    "shards_dispatched",
-    "shards_pruned",
-    "worker_busy_seconds",
-    "subscriptions_live",
-    "revisions_emitted",
-    "revisions_suppressed",
-    "retries",
-    "worker_restarts",
-    "deadline_misses",
-    "degraded_mode",
-)
 
 
 @dataclass
@@ -103,9 +79,6 @@ class ExecutionStats:
     #: Wall-clock seconds worker processes spent executing dispatched
     #: groups (summed across the pool; the process tier's busy time).
     worker_busy_seconds: float = 0.0
-    #: Standing subscriptions currently registered (a gauge, stamped at
-    #: snapshot time by the :class:`~repro.service.SubscriptionManager`).
-    subscriptions_live: int = 0
     #: Revision envelopes pushed to subscription consumers (answer
     #: actually changed, or the initial baseline).
     revisions_emitted: int = 0
@@ -121,9 +94,6 @@ class ExecutionStats:
     #: Queries failed with :class:`~repro.service.QueryTimeout` because
     #: their deadline passed (in queue or while awaiting the result).
     deadline_misses: int = 0
-    #: 1 while the durable store is degraded to read-only after a WAL
-    #: write failure (``on_wal_error="read_only"``), else 0 — a gauge.
-    degraded_mode: int = 0
     #: Simulated page traffic of Step 1 (index descent / leaf reads).
     or_io: IOStats = field(default_factory=IOStats)
     #: Simulated page traffic of Step 2 (secondary pdf fetches).
@@ -151,189 +121,30 @@ class ExecutionStats:
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Zero every counter in place."""
-        self.object_retrieval = 0.0
-        self.probability_computation = 0.0
-        self.queries = 0
-        self.batches = 0
-        self.cache_hits = 0
-        self.dedup_hits = 0
-        self.memo_hits = 0
-        self.invalidations = 0
-        self.retriever_fallbacks = 0
-        self.kernel_gather_seconds = 0.0
-        self.kernel_eval_seconds = 0.0
-        self.shards_dispatched = 0
-        self.shards_pruned = 0
-        self.worker_busy_seconds = 0.0
-        self.subscriptions_live = 0
-        self.revisions_emitted = 0
-        self.revisions_suppressed = 0
-        self.retries = 0
-        self.worker_restarts = 0
-        self.deadline_misses = 0
-        self.degraded_mode = 0
-        self.or_io.reset()
-        self.pc_io.reset()
+        for name, zero in _SCALARS.items():
+            setattr(self, name, zero)
+        for name in _IO_FIELDS:
+            getattr(self, name).reset()
 
     def snapshot(self) -> "ExecutionStats":
         """An independent copy of the current counters."""
-        return ExecutionStats(
-            object_retrieval=self.object_retrieval,
-            probability_computation=self.probability_computation,
-            queries=self.queries,
-            batches=self.batches,
-            cache_hits=self.cache_hits,
-            dedup_hits=self.dedup_hits,
-            memo_hits=self.memo_hits,
-            invalidations=self.invalidations,
-            retriever_fallbacks=self.retriever_fallbacks,
-            kernel_gather_seconds=self.kernel_gather_seconds,
-            kernel_eval_seconds=self.kernel_eval_seconds,
-            shards_dispatched=self.shards_dispatched,
-            shards_pruned=self.shards_pruned,
-            worker_busy_seconds=self.worker_busy_seconds,
-            subscriptions_live=self.subscriptions_live,
-            revisions_emitted=self.revisions_emitted,
-            revisions_suppressed=self.revisions_suppressed,
-            retries=self.retries,
-            worker_restarts=self.worker_restarts,
-            deadline_misses=self.deadline_misses,
-            degraded_mode=self.degraded_mode,
-            or_io=self.or_io.snapshot(),
-            pc_io=self.pc_io.snapshot(),
-        )
+        return _from_flat(self.capture())
 
     def capture(self) -> tuple:
-        """The counters as a flat tuple — a cheap pre-query marker.
+        """The counters as a flat tuple in :data:`_PATHS` order.
 
-        Pair with :meth:`delta_since` on serving hot paths (one tuple
-        allocation instead of three objects per bracket); semantics
-        match ``snapshot()`` + ``delta()`` exactly (asserted by an
-        equivalence test).  The attribute order is
-        :data:`_SCALAR_FIELDS` then the I/O reads/writes — spelled out
-        here (not via getattr over the field list) because this runs
-        once per served query and the direct tuple is several times
-        cheaper.
+        A cheap pre-query marker for :meth:`delta_since` on serving hot
+        paths: one tuple instead of three objects per bracket.
         """
-        return (
-            self.object_retrieval,
-            self.probability_computation,
-            self.queries,
-            self.batches,
-            self.cache_hits,
-            self.dedup_hits,
-            self.memo_hits,
-            self.invalidations,
-            self.retriever_fallbacks,
-            self.kernel_gather_seconds,
-            self.kernel_eval_seconds,
-            self.shards_dispatched,
-            self.shards_pruned,
-            self.worker_busy_seconds,
-            self.subscriptions_live,
-            self.revisions_emitted,
-            self.revisions_suppressed,
-            self.retries,
-            self.worker_restarts,
-            self.deadline_misses,
-            self.degraded_mode,
-            self.or_io.reads,
-            self.or_io.writes,
-            self.pc_io.reads,
-            self.pc_io.writes,
-        )
+        return _capture(self)
 
     def delta_since(self, captured: tuple) -> "ExecutionStats":
         """Counters accumulated since a :meth:`capture` marker."""
-        return ExecutionStats(
-            object_retrieval=self.object_retrieval - captured[0],
-            probability_computation=self.probability_computation
-            - captured[1],
-            queries=self.queries - captured[2],
-            batches=self.batches - captured[3],
-            cache_hits=self.cache_hits - captured[4],
-            dedup_hits=self.dedup_hits - captured[5],
-            memo_hits=self.memo_hits - captured[6],
-            invalidations=self.invalidations - captured[7],
-            retriever_fallbacks=self.retriever_fallbacks - captured[8],
-            kernel_gather_seconds=self.kernel_gather_seconds
-            - captured[9],
-            kernel_eval_seconds=self.kernel_eval_seconds - captured[10],
-            shards_dispatched=self.shards_dispatched - captured[11],
-            shards_pruned=self.shards_pruned - captured[12],
-            worker_busy_seconds=self.worker_busy_seconds - captured[13],
-            subscriptions_live=self.subscriptions_live - captured[14],
-            revisions_emitted=self.revisions_emitted - captured[15],
-            revisions_suppressed=self.revisions_suppressed
-            - captured[16],
-            retries=self.retries - captured[17],
-            worker_restarts=self.worker_restarts - captured[18],
-            deadline_misses=self.deadline_misses - captured[19],
-            degraded_mode=self.degraded_mode - captured[20],
-            or_io=IOStats(
-                reads=self.or_io.reads - captured[21],
-                writes=self.or_io.writes - captured[22],
-            ),
-            pc_io=IOStats(
-                reads=self.pc_io.reads - captured[23],
-                writes=self.pc_io.writes - captured[24],
-            ),
-        )
+        return _from_flat(tuple(map(sub, _capture(self), captured)))
 
     def delta(self, earlier: "ExecutionStats") -> "ExecutionStats":
         """Counters accumulated since ``earlier`` (a prior snapshot)."""
-        return ExecutionStats(
-            object_retrieval=self.object_retrieval
-            - earlier.object_retrieval,
-            probability_computation=self.probability_computation
-            - earlier.probability_computation,
-            queries=self.queries - earlier.queries,
-            batches=self.batches - earlier.batches,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            dedup_hits=self.dedup_hits - earlier.dedup_hits,
-            memo_hits=self.memo_hits - earlier.memo_hits,
-            invalidations=self.invalidations - earlier.invalidations,
-            retriever_fallbacks=self.retriever_fallbacks
-            - earlier.retriever_fallbacks,
-            kernel_gather_seconds=self.kernel_gather_seconds
-            - earlier.kernel_gather_seconds,
-            kernel_eval_seconds=self.kernel_eval_seconds
-            - earlier.kernel_eval_seconds,
-            shards_dispatched=self.shards_dispatched
-            - earlier.shards_dispatched,
-            shards_pruned=self.shards_pruned - earlier.shards_pruned,
-            worker_busy_seconds=self.worker_busy_seconds
-            - earlier.worker_busy_seconds,
-            subscriptions_live=self.subscriptions_live
-            - earlier.subscriptions_live,
-            revisions_emitted=self.revisions_emitted
-            - earlier.revisions_emitted,
-            revisions_suppressed=self.revisions_suppressed
-            - earlier.revisions_suppressed,
-            retries=self.retries - earlier.retries,
-            worker_restarts=self.worker_restarts
-            - earlier.worker_restarts,
-            deadline_misses=self.deadline_misses
-            - earlier.deadline_misses,
-            degraded_mode=self.degraded_mode - earlier.degraded_mode,
-            or_io=self.or_io.delta(earlier.or_io),
-            pc_io=self.pc_io.delta(earlier.pc_io),
-        )
-
-    def merge(self, other: "ExecutionStats") -> None:
-        """Accumulate ``other``'s counters into this object in place.
-
-        The cross-process aggregation primitive: worker processes
-        return per-execution deltas over the pipe and the pool folds
-        them into one parent-side aggregate, so scatter-gather work is
-        observable exactly like thread-mode work.
-        """
-        for name in _SCALAR_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        self.or_io.reads += other.or_io.reads
-        self.or_io.writes += other.or_io.writes
-        self.pc_io.reads += other.pc_io.reads
-        self.pc_io.writes += other.pc_io.writes
+        return self.delta_since(earlier.capture())
 
     # ------------------------------------------------------------------
     def add_or(self, seconds: float, io: IOStats | None = None) -> None:
@@ -349,3 +160,30 @@ class ExecutionStats:
         if io is not None:
             self.pc_io.reads += io.reads
             self.pc_io.writes += io.writes
+
+
+_FIELDS = fields(ExecutionStats)
+#: The per-phase page-traffic fields (each an :class:`IOStats`).  They
+#: are declared after every scalar, so the flat order below is also the
+#: constructor's positional order.
+_IO_FIELDS = tuple(f.name for f in _FIELDS if f.default_factory is IOStats)
+#: Every other field (one scalar counter each) and its zero value.
+_SCALARS = {f.name: f.default for f in _FIELDS if f.name not in _IO_FIELDS}
+_IO_COUNTERS = tuple(f.name for f in fields(IOStats))
+#: Every counter as an attribute path: the scalars, then each I/O
+#: field's counters (``or_io.reads``, ...).
+_PATHS = tuple(_SCALARS) + tuple(
+    f"{io}.{counter}" for io in _IO_FIELDS for counter in _IO_COUNTERS
+)
+_capture = attrgetter(*_PATHS)
+_SCALAR_SLICE = slice(len(_SCALARS))
+_IO_SLICES = tuple(
+    slice(start, start + len(_IO_COUNTERS))
+    for start in range(len(_SCALARS), len(_PATHS), len(_IO_COUNTERS))
+)
+
+
+def _from_flat(values: Sequence) -> ExecutionStats:
+    """A new :class:`ExecutionStats` holding ``values`` (``_PATHS`` order)."""
+    ios: list[Any] = [IOStats(*values[part]) for part in _IO_SLICES]
+    return ExecutionStats(*values[_SCALAR_SLICE], *ios)

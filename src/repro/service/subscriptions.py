@@ -83,7 +83,7 @@ import itertools
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -688,10 +688,9 @@ class SubscriptionManager:
             return len(self._subs)
 
     def stats_snapshot(self) -> ExecutionStats:
-        """Aggregate counters with the live gauge stamped in."""
-        snap = self.stats.snapshot()
-        snap.subscriptions_live = self.live
-        return snap
+        """A copy of the aggregate revision counters (the live count is
+        a gauge: see :attr:`live` and :meth:`describe`)."""
+        return self.stats.snapshot()
 
     def describe(self) -> dict[str, Any]:
         """Live-subscription state for :meth:`Database.describe`."""

@@ -146,4 +146,4 @@ class TestExpectedNNEngine:
     def test_times_accumulate(self, dense):
         engine = ExpectedNNEngine(dense)
         engine.query(np.array([1.0, 1.0]))
-        assert engine.times.queries == 1
+        assert engine.stats.queries == 1

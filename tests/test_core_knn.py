@@ -139,5 +139,5 @@ class TestKNNStep2:
     def test_times_accumulate(self, dense):
         engine = KNNEngine(dense)
         engine.query(np.array([1.0, 1.0]), k=2)
-        assert engine.times.queries == 1
-        assert engine.times.total > 0
+        assert engine.stats.queries == 1
+        assert engine.stats.total > 0

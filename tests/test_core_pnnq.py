@@ -134,9 +134,9 @@ class TestEngine:
         result = engine.query(ds.domain.center)
         assert result.candidate_ids
         assert sum(result.probabilities.values()) == pytest.approx(1.0)
-        assert engine.times.queries == 1
-        assert engine.times.object_retrieval > 0
-        assert engine.times.probability_computation > 0
+        assert engine.stats.queries == 1
+        assert engine.stats.object_retrieval > 0
+        assert engine.stats.probability_computation > 0
 
     def test_engine_with_rtree(self):
         ds = synthetic_dataset(n=60, dims=2, u_max=300, n_samples=20, seed=5)
@@ -173,5 +173,5 @@ class TestEngine:
         ds = synthetic_dataset(n=20, dims=2, n_samples=5, seed=9)
         engine = PNNQEngine(ds, RTreePNNQ.build(ds))
         engine.query(ds.domain.center)
-        engine.times.reset()
-        assert engine.times.total == 0.0
+        engine.stats.reset()
+        assert engine.stats.total == 0.0

@@ -144,5 +144,5 @@ class TestReverseNNUncertain:
         engine = ReverseNNEngine(dataset)
         query = box_object(999, [5000.0, 5000.0], 100.0)
         engine.query(query)
-        assert engine.times.queries == 1
-        assert engine.times.total > 0.0
+        assert engine.stats.queries == 1
+        assert engine.stats.total > 0.0

@@ -102,5 +102,5 @@ class TestTopKValidation:
         engine = TopKEngine(dataset, index)
         engine.query(np.array([100.0, 100.0]), k=1)
         engine.query(np.array([200.0, 200.0]), k=1)
-        assert engine.times.queries == 2
-        assert engine.times.total > 0.0
+        assert engine.stats.queries == 2
+        assert engine.stats.total > 0.0

@@ -6,6 +6,9 @@ reset/snapshot/delta semantics, and LRU result-cache hit behavior —
 plus the brute-force retriever fallback and candidate memoization.
 """
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
@@ -188,96 +191,33 @@ class TestExecutionStats:
 
     def test_capture_delta_since_matches_snapshot_delta(self):
         # capture()/delta_since() are the hot-path twins of
-        # snapshot()/delta(): field-for-field equivalent, including
-        # the I/O tail (guards the shared tuple-order contract).
-        # Every scalar starts at a distinct non-zero value and every
-        # scalar is perturbed by a distinct amount, so any index
-        # mix-up between capture() and delta_since() shows up.
-        stats = ExecutionStats(
-            object_retrieval=1.5,
-            probability_computation=2.5,
-            queries=7,
-            batches=2,
-            cache_hits=3,
-            dedup_hits=1,
-            memo_hits=4,
-            invalidations=2,
-            retriever_fallbacks=1,
-            kernel_gather_seconds=0.25,
-            kernel_eval_seconds=0.75,
-            shards_dispatched=11,
-            shards_pruned=13,
-            worker_busy_seconds=3.5,
-            subscriptions_live=17,
-            revisions_emitted=19,
-            revisions_suppressed=23,
-            or_io=IOStats(reads=5, writes=6),
-            pc_io=IOStats(reads=7, writes=8),
-        )
+        # snapshot()/delta().  Every field, taken from the dataclass
+        # itself so a new counter is covered without editing this
+        # test, starts at a distinct value and moves by a distinct
+        # amount: any mix-up between two counters shows up.
+        fields = dataclasses.fields(ExecutionStats)
+        distinct = itertools.count(1)
+
+        def fill(f):
+            if f.default_factory is IOStats:
+                return IOStats(reads=next(distinct), writes=next(distinct))
+            return type(f.default)(next(distinct))
+
+        stats = ExecutionStats(**{f.name: fill(f) for f in fields})
+        step = ExecutionStats(**{f.name: fill(f) for f in fields})
         captured = stats.capture()
         snap = stats.snapshot()
-        stats.object_retrieval += 0.5
-        stats.probability_computation += 1.25
-        stats.queries += 2
-        stats.batches += 6
-        stats.cache_hits += 7
-        stats.dedup_hits += 8
-        stats.memo_hits += 9
-        stats.invalidations += 1
-        stats.retriever_fallbacks += 5
-        stats.kernel_gather_seconds += 0.0625
-        stats.kernel_eval_seconds += 0.125
-        stats.shards_dispatched += 10
-        stats.shards_pruned += 12
-        stats.worker_busy_seconds += 0.375
-        stats.subscriptions_live += 14
-        stats.revisions_emitted += 15
-        stats.revisions_suppressed += 16
-        stats.or_io.reads += 3
-        stats.pc_io.writes += 4
+        assert snap == stats
+        for f in fields:
+            now, inc = getattr(stats, f.name), getattr(step, f.name)
+            if isinstance(now, IOStats):
+                now.reads += inc.reads
+                now.writes += inc.writes
+            else:
+                setattr(stats, f.name, now + inc)
+        assert snap != stats  # the snapshot is independent
         delta = stats.delta_since(captured)
-        assert delta == stats.delta(snap)
-        assert delta.kernel_gather_seconds == 0.0625
-        assert delta.kernel_eval_seconds == 0.125
-        assert delta.shards_dispatched == 10
-        assert delta.shards_pruned == 12
-        assert delta.worker_busy_seconds == 0.375
-        assert delta.subscriptions_live == 14
-        assert delta.revisions_emitted == 15
-        assert delta.revisions_suppressed == 16
-
-    def test_merge_accumulates_every_counter(self):
-        # merge() is the cross-process aggregation primitive: field
-        # for field it must add, including the I/O tails.
-        total = ExecutionStats(queries=1, shards_pruned=2,
-                               or_io=IOStats(reads=1, writes=0))
-        part = ExecutionStats(
-            object_retrieval=0.5,
-            probability_computation=0.25,
-            queries=3,
-            batches=1,
-            cache_hits=2,
-            dedup_hits=4,
-            memo_hits=5,
-            invalidations=6,
-            retriever_fallbacks=7,
-            kernel_gather_seconds=0.125,
-            kernel_eval_seconds=0.0625,
-            shards_dispatched=8,
-            shards_pruned=9,
-            worker_busy_seconds=1.5,
-            subscriptions_live=14,
-            revisions_emitted=15,
-            revisions_suppressed=16,
-            or_io=IOStats(reads=10, writes=11),
-            pc_io=IOStats(reads=12, writes=13),
-        )
-        total.merge(part)
-        want = part.snapshot()
-        want.queries += 1
-        want.shards_pruned += 2
-        want.or_io.reads += 1
-        assert total == want
+        assert delta == stats.delta(snap) == step
 
     def test_io_properties_combine_phases(self):
         stats = ExecutionStats(
@@ -296,8 +236,6 @@ class TestExecutionStats:
         assert engine.stats.pc_io.reads > 0  # secondary pdf fetches
         assert engine.stats.object_retrieval > 0
         assert engine.stats.probability_computation > 0
-        # Legacy alias used by the seed API.
-        assert engine.times is engine.stats
 
     def test_stats_shared_across_query_and_batch(
         self, dataset, index, queries

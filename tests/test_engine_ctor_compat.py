@@ -1,11 +1,10 @@
-"""Constructor-normalization and frozen-result regression tests.
+"""Constructor-signature and frozen-result regression tests.
 
-Satellites of the API PR: all seven engines share the uniform
-``Engine(dataset, retriever=None, *, secondary=None, ...)`` order, the
-legacy ``Engine(retriever, dataset)`` order still works behind a
-``DeprecationWarning`` with identical answers, and shared result
-envelopes are read-only (mutating a cached result raises instead of
-corrupting every other holder of the same object).
+All seven engines share the uniform
+``Engine(dataset, retriever=None, *, secondary=None, ...)`` order and
+reject a first argument that is not an ``UncertainDataset``; shared
+result envelopes are read-only (mutating a cached result raises
+instead of corrupting every other holder of the same object).
 """
 
 import dataclasses
@@ -44,53 +43,9 @@ def query(dataset):
 
 
 # ----------------------------------------------------------------------
-# Uniform constructor order + deprecated legacy order
+# Uniform constructor order
 # ----------------------------------------------------------------------
 class TestConstructorNormalization:
-    @pytest.mark.parametrize(
-        "engine_cls", [PNNQEngine, TopKEngine, VerifierEngine]
-    )
-    def test_legacy_order_warns_and_matches(
-        self, engine_cls, dataset, index, query
-    ):
-        new_style = engine_cls(dataset, index)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = engine_cls(index, dataset)
-        assert legacy.dataset is dataset
-        assert legacy.retriever is index
-        a, b = legacy.query(query), new_style.query(query)
-        if engine_cls is VerifierEngine:
-            assert a == b  # plain decision mappings
-        elif engine_cls is TopKEngine:
-            assert a.ranking == b.ranking
-        else:
-            assert a.candidate_ids == b.candidate_ids
-            assert a.probabilities == b.probabilities
-
-    def test_legacy_positional_n_bins_still_binds(
-        self, dataset, index, query
-    ):
-        with pytest.warns(DeprecationWarning):
-            legacy = VerifierEngine(index, dataset, 4)
-        assert legacy.n_bins == 4
-        assert legacy.query(query) == VerifierEngine(
-            dataset, index, n_bins=4
-        ).query(query)
-
-    def test_new_order_does_not_warn(self, dataset, index):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            PNNQEngine(dataset, index)
-            PNNQEngine(dataset)
-            TopKEngine(dataset, index, n_bins=4)
-            VerifierEngine(dataset)
-            KNNEngine(dataset, retriever=index)
-            GroupNNEngine(dataset)
-            ReverseNNEngine(dataset)
-            ExpectedNNEngine(dataset)
-
     def test_dataset_is_required_somewhere(self, index):
         with pytest.raises(TypeError, match="UncertainDataset"):
             PNNQEngine(index, index)

@@ -381,7 +381,7 @@ class TestLifecycle:
                 >= 4
             )
             snap = db.subscriptions.stats_snapshot()
-            assert snap.subscriptions_live == 1
+            assert snap.revisions_emitted == state["revisions_emitted"]
 
     def test_direct_dataset_mutation_catches_up_on_poll(self):
         # Mutations bypassing the Database still reach consumers: the
