@@ -80,8 +80,6 @@ LOCK_HIERARCHY: dict[str, int] = {
     # Server lifecycle flags (leaves).
     "server.close_lock": 70,
     "server.recovery_lock": 72,
-    # Parent-side per-worker pipe writes (leaf).
-    "procpool.send_lock": 80,
     # Fault-plan trigger counters — hooks fire under the store lock,
     # so the plan lock must rank below (inside) it.
     "faults.plan_lock": 90,
@@ -104,7 +102,6 @@ STATIC_LOCK_ATTRS: dict[str, dict[str, str]] = {
     },
     "service/future.py": {"_lock": "future.lock"},
     "service/subscriptions.py": {"_reg_lock": "subscriptions.reg_lock"},
-    "service/procpool.py": {"send_lock": "procpool.send_lock"},
     "testing/faults.py": {"_lock": "faults.plan_lock"},
 }
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from ..analysis.locks import make_lock, make_rlock
@@ -50,7 +49,7 @@ from ..service.scheduler import SchedulerClosed
 from ..uncertain import UncertainDataset, UncertainObject
 from ..uvindex import UVIndex
 from .planner import Plan, Planner, PlanningError, STATIC_ESTIMATES
-from .result import QueryResult, QuerySpec, _params_key
+from .result import Q, QueryResult, QuerySpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..service import Subscription, UncertainDBServer
@@ -63,34 +62,72 @@ _NONE = "none"
 _BRUTE = "brute"
 
 
-@dataclass(frozen=True)
-class _KindSpec:
-    """Execution recipe for one query class."""
-
-    engine_cls: type[BaseEngine]
-    #: Engine-constructor keywords drawn from Database config.
-    takes_n_bins: bool = False
-
-
-_KINDS: dict[str, _KindSpec] = {
-    "nn": _KindSpec(PNNQEngine),
-    "knn": _KindSpec(KNNEngine),
-    "topk": _KindSpec(TopKEngine, takes_n_bins=True),
-    "threshold": _KindSpec(VerifierEngine, takes_n_bins=True),
-    "group_nn": _KindSpec(GroupNNEngine),
-    "reverse_nn": _KindSpec(ReverseNNEngine),
-    "expected_nn": _KindSpec(ExpectedNNEngine),
+#: The engine class behind each query kind.
+_KINDS: dict[str, type[BaseEngine]] = {
+    "nn": PNNQEngine,
+    "knn": KNNEngine,
+    "topk": TopKEngine,
+    "threshold": VerifierEngine,
+    "group_nn": GroupNNEngine,
+    "reverse_nn": ReverseNNEngine,
+    "expected_nn": ExpectedNNEngine,
 }
 
-#: Per-verb parameter defaults mirrored from the one-shot methods, so
-#: ``db.subscribe("knn", q)`` and ``db.knn(q)`` share a template.
-_SUBSCRIBE_DEFAULTS: dict[str, dict[str, Any]] = {
-    "knn": {"k": 1},
-    "topk": {"k": 1},
-    "threshold": {"tau": 0.1},
-    "group_nn": {"aggregate": "sum"},
-    "expected_nn": {"top": None},
-}
+
+def _spec(kind: str, query: Any, params: Mapping[str, Any]) -> QuerySpec:
+    """The spec ``kind``'s verb would build: its :class:`Q` constructor
+    fills in the defaults (and maps ``threshold``'s ``p`` to ``tau``)."""
+    if kind not in _KINDS:
+        raise KeyError(f"unknown query kind {kind!r}")
+    return getattr(Q, kind)(query, **params)
+
+
+def _fixed_choice(
+    kind: str, params: Mapping[str, Any], n: int
+) -> tuple[str, str, CostEstimate | None, str] | None:
+    """Kinds whose Step-1 source is not a cost decision.
+
+    Returns ``(retriever, reason, estimate, cost_kind)``, or ``None``
+    for a cost-based kind.  Each fixed kind gets its own ``cost_kind``
+    observation bucket: these run structurally different Step-1
+    filters than the cost-based variant of the same kind, so their
+    measured timings must not calibrate it (e.g. the exact k>1 filter
+    is far slower than the k=1 min-max pass both labelled "knn" would
+    otherwise share).  The process pool's workers apply the same rule.
+    """
+    if kind == "reverse_nn":
+        # Per-object domination test: one batched margin-bounds call
+        # (Python + numpy) against every other region.
+        estimate = CostEstimate(
+            step1_us=30.0 + 18.0 * n,
+            page_reads=0.0,
+            candidates=float(max(1, n // 10)),
+            source="static",
+        )
+        return (
+            _NONE,
+            "domination-based Step 1 over object regions; "
+            "point retrievers do not apply",
+            estimate,
+            "reverse_nn",
+        )
+    if kind == "knn" and params.get("k", 1) > 1:
+        return (
+            _BRUTE,
+            "k > 1 widens Step 1 to the exact k-th-maxdist filter "
+            "over the whole database; indexes accelerate only k = 1",
+            None,
+            "knn:exact",
+        )
+    if kind == "group_nn" and params.get("aggregate") != "min":
+        return (
+            _BRUTE,
+            "sum/max aggregates run the direct aggregate-bound "
+            "filter; an index narrows only the min aggregate",
+            None,
+            "group_nn:direct",
+        )
+    return None
 
 
 class IndexHandle:
@@ -177,16 +214,8 @@ class Database:
         to the always-available exact brute-force filter.  Handles
         whose index cannot serve this dataset (the UV-index off 2D)
         are ignored.
-    result_cache_size / memo_radius:
+    result_cache_size:
         Forwarded to every engine (see :class:`~repro.engine.BaseEngine`).
-    n_bins:
-        Histogram resolution for bound-based engines (top-k, threshold).
-    page_cost_us:
-        Planner weight of one simulated page read (µs); 0 plans for
-        pure wall-clock.
-    index_options:
-        Per-handle builder keyword overrides, e.g.
-        ``{"uv": {"k_cand": 64}}``.
 
     A Database is a context manager (``with Database(ds) as db: ...``);
     :meth:`close` drains any attached server and releases derived
@@ -204,24 +233,14 @@ class Database:
         *,
         indexes: Sequence[str] = ("pv", "rtree", "uv"),
         result_cache_size: int = 128,
-        memo_radius: float = 0.0,
-        n_bins: int = 8,
-        page_cost_us: float = 0.0,
-        index_options: Mapping[str, Mapping[str, Any]] | None = None,
         planner: Planner | None = None,
     ) -> None:
         self.dataset = dataset
         self.result_cache_size = result_cache_size
-        self.memo_radius = memo_radius
-        self.n_bins = n_bins
-        self.planner = planner or Planner(page_cost_us=page_cost_us)
-        options = {
-            name: dict(kwargs)
-            for name, kwargs in (index_options or {}).items()
-        }
+        self.planner = planner or Planner()
         self._handles: dict[str, IndexHandle] = {}
         for name in indexes:
-            handle = self._make_handle(name, options.get(name, {}))
+            handle = self._make_handle(name)
             if handle is not None:
                 self._handles[name] = handle
         self._handles[_BRUTE] = IndexHandle(
@@ -384,7 +403,7 @@ class Database:
         it).  Unserved, execution is inline and uninterruptible, so
         the budget is advisory only.
         """
-        return self._execute("nn", query, (), retriever, timeout)
+        return self._execute(Q.nn(query), retriever, timeout)
 
     def knn(
         self,
@@ -395,7 +414,7 @@ class Database:
         timeout: float | None = None,
     ) -> QueryResult:
         """Probabilistic k-NN at a point."""
-        return self._execute("knn", query, (("k", k),), retriever, timeout)
+        return self._execute(Q.knn(query, k), retriever, timeout)
 
     def topk(
         self,
@@ -406,7 +425,7 @@ class Database:
         timeout: float | None = None,
     ) -> QueryResult:
         """The k objects most likely to be the NN of ``query``."""
-        return self._execute("topk", query, (("k", k),), retriever, timeout)
+        return self._execute(Q.topk(query, k), retriever, timeout)
 
     def threshold(
         self,
@@ -417,9 +436,7 @@ class Database:
         timeout: float | None = None,
     ) -> QueryResult:
         """Which objects have qualification probability >= ``p``."""
-        return self._execute(
-            "threshold", query, (("tau", p),), retriever, timeout
-        )
+        return self._execute(Q.threshold(query, p), retriever, timeout)
 
     def group_nn(
         self,
@@ -431,8 +448,7 @@ class Database:
     ) -> QueryResult:
         """Group NN over a set of query points."""
         return self._execute(
-            "group_nn", queries, (("aggregate", aggregate),), retriever,
-            timeout,
+            Q.group_nn(queries, aggregate), retriever, timeout
         )
 
     def reverse_nn(
@@ -442,7 +458,7 @@ class Database:
         timeout: float | None = None,
     ) -> QueryResult:
         """Objects that may have ``query_object`` as *their* NN."""
-        return self._execute("reverse_nn", query_object, (), None, timeout)
+        return self._execute(Q.reverse_nn(query_object), None, timeout)
 
     def expected_nn(
         self,
@@ -453,9 +469,7 @@ class Database:
         timeout: float | None = None,
     ) -> QueryResult:
         """Expected-distance NN ranking at a point."""
-        return self._execute(
-            "expected_nn", query, (("top", top),), retriever, timeout
-        )
+        return self._execute(Q.expected_nn(query, top), retriever, timeout)
 
     def batch(
         self,
@@ -467,7 +481,7 @@ class Database:
 
         Specs sharing a (kind, parameters) template are planned once
         and executed through the engine's ``query_batch`` — inheriting
-        its dedup, Step-1 memoization, and vectorized Step-2 — and
+        its dedup, batched Step 1 and vectorized Step 2 — and
         results return in input order.  Each envelope in a group
         carries the same :class:`~repro.engine.ExecutionStats` delta
         (batched work is not separable per query).
@@ -533,8 +547,10 @@ class Database:
         """The plan the next query of this template would execute with.
 
         Accepts a kind name plus its parameters (``db.explain("knn",
-        k=3)``) or a ready :class:`QuerySpec`.  Pure planning: no
-        query runs and no index is built.
+        k=3)``; omitted ones take the verb's defaults, so
+        ``db.explain(kind)`` is the plan of ``getattr(db, kind)(q)``)
+        or a ready :class:`QuerySpec`.  Pure planning: no query runs
+        and no index is built.
 
         On a process-served database the returned plan additionally
         carries the pool's scale-out telemetry in ``plan.scaleout``
@@ -543,14 +559,11 @@ class Database:
         """
         with self._lock:
             self._sync()
-            if isinstance(kind, QuerySpec):
-                plan = self._plan(kind.kind, kind.params, forced=retriever)
-            else:
-                if kind == "threshold" and "p" in params:
-                    params["tau"] = params.pop("p")
-                plan = self._plan(
-                    kind, _params_key(params), forced=retriever
-                )
+            spec = (
+                kind if isinstance(kind, QuerySpec)
+                else _spec(kind, None, params)
+            )
+            plan = self._plan(spec.kind, spec.params, forced=retriever)
         snapshot = getattr(self._server, "scaleout_snapshot", None)
         if snapshot is not None:
             plan = dataclasses.replace(plan, scaleout=snapshot())
@@ -564,7 +577,7 @@ class Database:
     ) -> Plan:
         if kind not in _KINDS:
             raise KeyError(f"unknown query kind {kind!r}")
-        fixed = self._fixed_choice(kind, dict(params))
+        fixed = _fixed_choice(kind, dict(params), len(self.dataset))
         return self.planner.plan(
             kind=kind,
             params=params,
@@ -574,60 +587,12 @@ class Database:
             fixed=fixed,
         )
 
-    def _fixed_choice(
-        self, kind: str, params: Mapping[str, Any]
-    ) -> tuple[str, str, CostEstimate | None, str] | None:
-        """Kinds whose Step-1 source is not a cost decision.
-
-        Each returns its own ``cost_kind`` observation bucket: these
-        run structurally different Step-1 filters than the cost-based
-        variant of the same kind, so their measured timings must not
-        calibrate it (e.g. the exact k>1 filter is far slower than the
-        k=1 min-max pass both labelled "knn" would otherwise share).
-        """
-        if kind == "reverse_nn":
-            # Per-object domination test: one batched margin-bounds
-            # call (Python + numpy) against every other region.
-            n = len(self.dataset)
-            estimate = CostEstimate(
-                step1_us=30.0 + 18.0 * n,
-                page_reads=0.0,
-                candidates=float(max(1, n // 10)),
-                source="static",
-            )
-            return (
-                _NONE,
-                "domination-based Step 1 over object regions; "
-                "point retrievers do not apply",
-                estimate,
-                "reverse_nn",
-            )
-        if kind == "knn" and params.get("k", 1) > 1:
-            return (
-                _BRUTE,
-                "k > 1 widens Step 1 to the exact k-th-maxdist filter "
-                "over the whole database; indexes accelerate only k = 1",
-                None,
-                "knn:exact",
-            )
-        if kind == "group_nn" and params.get("aggregate") != "min":
-            return (
-                _BRUTE,
-                "sum/max aggregates run the direct aggregate-bound "
-                "filter; an index narrows only the min aggregate",
-                None,
-                "group_nn:direct",
-            )
-        return None
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _execute(
         self,
-        kind: str,
-        query: Any,
-        params: tuple[tuple[str, Any], ...],
+        spec: QuerySpec,
         retriever: str | None,
         timeout: float | None = None,
     ) -> QueryResult:
@@ -650,7 +615,7 @@ class Database:
             )
             try:
                 return server.submit(
-                    kind, query, params, retriever, deadline
+                    spec.kind, spec.query, spec.params, retriever, deadline
                 ).result()
             except SchedulerClosed:
                 # Server shut down mid-call.  Wait for its queue to
@@ -659,7 +624,9 @@ class Database:
                 # overlapping the drain would break the barrier
                 # contract the scheduler enforces.
                 server.close()
-        return self._execute_group(kind, [query], params, retriever)[0]
+        return self._execute_group(
+            spec.kind, [spec.query], spec.params, retriever
+        )[0]
 
     def _execute_group(
         self,
@@ -752,15 +719,12 @@ class Database:
                 # The index's calibrated cost_estimate() now
                 # supersedes the static formula: revisit plans.
                 self.planner.bump_generation()
-            spec = _KINDS[kind]
-            kwargs: dict[str, Any] = {
-                "secondary": secondary,
-                "result_cache_size": self.result_cache_size,
-                "memo_radius": self.memo_radius,
-            }
-            if spec.takes_n_bins:
-                kwargs["n_bins"] = self.n_bins
-            engine = spec.engine_cls(self.dataset, index, **kwargs)
+            engine = _KINDS[kind](
+                self.dataset,
+                index,
+                secondary=secondary,
+                result_cache_size=self.result_cache_size,
+            )
             self._engines[key] = engine
             return engine
 
@@ -881,21 +845,17 @@ class Database:
         """
         from ..service.subscriptions import SubscriptionManager
 
+        spec = _spec(kind, query, params)
         with self._lock:
             if self._closed:
                 raise RuntimeError("Database is closed")
-            if kind not in _KINDS:
-                raise KeyError(f"unknown query kind {kind!r}")
             manager = self._subscriptions
             if manager is None:
                 manager = self._subscriptions = SubscriptionManager(self)
-        if kind == "threshold" and "p" in params:
-            params["tau"] = params.pop("p")
-        merged = {**_SUBSCRIBE_DEFAULTS.get(kind, {}), **params}
         return manager.subscribe(
-            kind,
-            query,
-            _params_key(merged),
+            spec.kind,
+            spec.query,
+            spec.params,
             retriever,
             max_pending=max_pending,
             eager=eager,
@@ -1007,7 +967,7 @@ class Database:
         over the pool with sharded Step-1 pruning — same client
         surface, same epoch-barrier consistency contract, no GIL on
         the compute path.  Process-mode extras (``n_shards``,
-        ``scatter_min``) are forwarded too.
+        ``stall_timeout``) are forwarded too.
 
         Idempotent while a server is live: a second ``serve()`` call
         returns the running server (``options`` must then be empty).
@@ -1146,31 +1106,30 @@ class Database:
                 }
         self.planner.invalidate()
 
-    def _make_handle(
-        self, name: str, options: dict[str, Any]
-    ) -> IndexHandle | None:
+    def _make_handle(self, name: str) -> IndexHandle | None:
+        # Builders look the class method up at build time, so a
+        # wrapper installed on it after the Database exists still runs.
         if name == "pv":
             return IndexHandle(
                 "pv",
                 self.dataset,
-                lambda ds: PVIndex.build(ds, **options),
+                lambda ds: PVIndex.build(ds),
                 maintainable=True,
             )
         if name == "rtree":
             return IndexHandle(
                 "rtree",
                 self.dataset,
-                lambda ds: RTreePNNQ.build(ds, **options),
+                lambda ds: RTreePNNQ.build(ds),
                 maintainable=False,
             )
         if name == "uv":
             if self.dataset.dims != 2:
                 return None  # the UV-index is 2D-only
-            options.setdefault("k_cand", 32)
             return IndexHandle(
                 "uv",
                 self.dataset,
-                lambda ds: UVIndex.build(ds, **options),
+                lambda ds: UVIndex.build(ds, k_cand=32),
                 maintainable=True,
             )
         if name == _BRUTE:

@@ -23,10 +23,10 @@ per query:
 
 Scores are microseconds-per-query equivalents::
 
-    score = step1_us + page_cost_us * page_reads + step2_us(kind, cands)
+    score = step1_us + step2_us(kind, cands)
 
-``page_cost_us`` defaults to 0 — the simulated pager costs no real
-time here — and models real disks when raised (100–10000 µs/page).
+Simulated page reads cost no real time here, so they do not enter the
+score; ``CostEstimate.page_reads`` is still reported by ``explain``.
 """
 
 from __future__ import annotations
@@ -240,10 +240,6 @@ class Planner:
 
     Parameters
     ----------
-    page_cost_us:
-        Microsecond weight of one simulated page read.  0 (default)
-        optimizes pure wall-clock of this in-memory implementation;
-        raise it to plan for real storage.
     ema_alpha:
         Weight of the newest observation in the per-``(retriever,
         kind)`` Step-1 wall-clock moving average.
@@ -260,7 +256,6 @@ class Planner:
     def __init__(
         self,
         *,
-        page_cost_us: float = 0.0,
         ema_alpha: float = 0.4,
         replan_every: int = 64,
     ) -> None:
@@ -268,7 +263,6 @@ class Planner:
             raise ValueError("ema_alpha must be in (0, 1]")
         if replan_every < 1:
             raise ValueError("replan_every must be >= 1")
-        self.page_cost_us = float(page_cost_us)
         self.ema_alpha = float(ema_alpha)
         self.replan_every = int(replan_every)
         self._cache: dict[Hashable, Plan] = {}
@@ -376,10 +370,7 @@ class Planner:
         shared = min(est.candidates for est in estimates.values())
         step2 = self._step2_term(kind, kind, param_map, shared)
         scores = {
-            name: est.step1_us
-            + self.page_cost_us * est.page_reads
-            + step2
-            for name, est in estimates.items()
+            name: est.step1_us + step2 for name, est in estimates.items()
         }
 
         if forced is not None:
@@ -443,12 +434,8 @@ class Planner:
         est: CostEstimate,
         cost_kind: str | None = None,
     ) -> float:
-        return (
-            est.step1_us
-            + self.page_cost_us * est.page_reads
-            + self._step2_term(
-                kind, cost_kind or kind, params, est.candidates
-            )
+        return est.step1_us + self._step2_term(
+            kind, cost_kind or kind, params, est.candidates
         )
 
     def _step2_term(

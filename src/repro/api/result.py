@@ -20,11 +20,6 @@ from .planner import Plan
 __all__ = ["QueryResult", "QuerySpec", "Q"]
 
 
-def _params_key(params: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
-    """Canonical hashable form of a query's keyword parameters."""
-    return tuple(sorted(params.items()))
-
-
 @dataclass(frozen=True)
 class QuerySpec:
     """One declarative query: a kind, its input, and its parameters.
@@ -44,7 +39,12 @@ class QuerySpec:
 
 
 class Q:
-    """Constructors for :class:`QuerySpec` values (``db.batch`` input)."""
+    """Constructors for :class:`QuerySpec` values.
+
+    The one place each verb's parameter names and defaults are spelled:
+    ``db.batch`` input, and the spec behind every ``Database`` and
+    ``Session`` verb, ``db.explain`` and ``db.subscribe``.
+    """
 
     @staticmethod
     def nn(query: Any) -> QuerySpec:
@@ -54,24 +54,22 @@ class Q:
     @staticmethod
     def knn(query: Any, k: int = 1) -> QuerySpec:
         """Probabilistic k-NN at a point."""
-        return QuerySpec("knn", query, _params_key({"k": k}))
+        return QuerySpec("knn", query, (("k", k),))
 
     @staticmethod
     def topk(query: Any, k: int = 1) -> QuerySpec:
         """Top-k most probable NNs at a point."""
-        return QuerySpec("topk", query, _params_key({"k": k}))
+        return QuerySpec("topk", query, (("k", k),))
 
     @staticmethod
     def threshold(query: Any, p: float = 0.1) -> QuerySpec:
         """Threshold PNNQ: which objects have probability >= ``p``."""
-        return QuerySpec("threshold", query, _params_key({"tau": p}))
+        return QuerySpec("threshold", query, (("tau", p),))
 
     @staticmethod
     def group_nn(queries: Any, aggregate: str = "sum") -> QuerySpec:
         """Group NN over a set of query points."""
-        return QuerySpec(
-            "group_nn", queries, _params_key({"aggregate": aggregate})
-        )
+        return QuerySpec("group_nn", queries, (("aggregate", aggregate),))
 
     @staticmethod
     def reverse_nn(query_object: Any) -> QuerySpec:
@@ -81,7 +79,7 @@ class Q:
     @staticmethod
     def expected_nn(query: Any, top: int | None = None) -> QuerySpec:
         """Expected-distance NN ranking at a point."""
-        return QuerySpec("expected_nn", query, _params_key({"top": top}))
+        return QuerySpec("expected_nn", query, (("top", top),))
 
 
 @dataclass(frozen=True)

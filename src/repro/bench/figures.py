@@ -4,9 +4,11 @@ Every public function regenerates one experiment of Section VII and
 returns a :class:`FigureResult` whose rows mirror the series the paper
 plots.  Drivers take their sweep values from :data:`repro.bench.config.SCALE`
 by default but accept overrides, so the same code runs at smoke-test
-scale under pytest-benchmark and at larger scale from the command line::
+scale under pytest-benchmark and, with the defaults, from the command
+line::
 
-    python -m repro.bench.figures fig9a --sizes 500 1000 2000
+    python -m repro.bench.figures fig9a
+    python -m repro.bench.figures fig9c --io-mode measured
 
 Measured quantities:
 
@@ -153,25 +155,32 @@ def _export_snapshot(dataset: UncertainDataset, tmpdir: str) -> MappedSnapshot:
     return attach_file(path)
 
 
+def _rtree_and_pv(
+    _value: object,
+) -> tuple[Callable[[UncertainDataset], IndexBundle], ...]:
+    return (build_rtree_bundle, build_pv_bundle)
+
+
 def _query_sweep(
     figure: str,
     title: str,
     sweep_name: str,
     sweep_values: Iterable,
     dataset_for: Callable[[object], UncertainDataset],
-    builders: Sequence[Callable[[UncertainDataset], IndexBundle]] = (
-        build_rtree_bundle,
-        build_pv_bundle,
-    ),
+    builders_for: Callable[
+        [object], Sequence[Callable[[UncertainDataset], IndexBundle]]
+    ] = _rtree_and_pv,
     n_queries: int | None = None,
     io_mode: str = "simulated",
+    notes: str = "",
 ) -> FigureResult:
     """Generic 'query cost vs parameter' sweep over a set of indexes.
 
-    ``io_mode="measured"`` additionally exports each sweep dataset to a
-    real snapshot file and reports ``io_pages_measured`` — distinct
-    4 KB file pages per query that gathering the answer's candidate
-    pdfs touches — beside the simulated pager counters.
+    ``builders_for(value)`` names the indexes measured at each sweep
+    value.  ``io_mode="measured"`` additionally exports each sweep
+    dataset to a real snapshot file and reports ``io_pages_measured``
+    — distinct 4 KB file pages per query that gathering the answer's
+    candidate pdfs touches — beside the simulated pager counters.
     """
     if io_mode not in ("simulated", "measured"):
         raise ValueError(
@@ -183,7 +192,9 @@ def _query_sweep(
     )
     if measured:
         columns += ("io_pages_measured",)
-    result = FigureResult(figure=figure, title=title, columns=columns)
+    result = FigureResult(
+        figure=figure, title=title, columns=columns, notes=notes
+    )
     tmpdir = tempfile.mkdtemp(prefix="repro-fig-io-") if measured else None
     try:
         for value in sweep_values:
@@ -192,7 +203,7 @@ def _query_sweep(
             snapshot = (
                 _export_snapshot(dataset, tmpdir) if measured else None
             )
-            for builder in builders:
+            for builder in builders_for(value):
                 bundle = builder(dataset.copy())
                 tq, t_or, t_pc, io, iom = _mean_query_ms(
                     bundle, queries, snapshot=snapshot
@@ -357,49 +368,18 @@ def _dims_sweep(
     io_mode: str = "simulated",
 ) -> FigureResult:
     """Fig 9(e)-(g) share one sweep: d in {2..5}, UV at d=2 only."""
-    if io_mode not in ("simulated", "measured"):
-        raise ValueError(
-            f"io_mode must be 'simulated' or 'measured', not {io_mode!r}"
-        )
-    measured = io_mode == "measured"
-    columns = ("dims", "index", "tq_ms", "t_or_ms", "t_pc_ms", "io_pages")
-    if measured:
-        columns += ("io_pages_measured",)
-    result = FigureResult(
+    return _query_sweep(
         figure=figure,
         title=title,
-        columns=columns,
+        sweep_name="dims",
+        sweep_values=dims or SCALE.dims,
+        dataset_for=lambda d: make_dataset(n=size, dims=d),
+        builders_for=lambda d: _rtree_and_pv(d)
+        + ((build_uv_bundle,) if d == 2 else ()),
+        n_queries=n_queries,
+        io_mode=io_mode,
         notes="UV-index rows appear only at d=2 (its supported case).",
     )
-    tmpdir = tempfile.mkdtemp(prefix="repro-fig-io-") if measured else None
-    try:
-        for d in dims or SCALE.dims:
-            dataset = make_dataset(n=size, dims=d)
-            queries = query_points(dataset, n=n_queries)
-            snapshot = (
-                _export_snapshot(dataset, tmpdir) if measured else None
-            )
-            builders: list[Callable] = [build_rtree_bundle, build_pv_bundle]
-            if d == 2:
-                builders.append(build_uv_bundle)
-            for builder in builders:
-                bundle = builder(dataset.copy())
-                tq, t_or, t_pc, io, iom = _mean_query_ms(
-                    bundle, queries, snapshot=snapshot
-                )
-                row = dict(
-                    dims=d, index=bundle.name, tq_ms=tq, t_or_ms=t_or,
-                    t_pc_ms=t_pc, io_pages=io,
-                )
-                if measured:
-                    row["io_pages_measured"] = iom
-                result.add(**row)
-            if snapshot is not None:
-                snapshot.close()
-    finally:
-        if tmpdir is not None:
-            shutil.rmtree(tmpdir, ignore_errors=True)
-    return result
 
 
 def fig9e_query_vs_dims(
@@ -990,9 +970,7 @@ def ablation_bulkload(
         watch = Stopwatch()
         with watch:
             index = PVIndex.build(dataset.copy(), pager=pager)
-        from ..core.bulk import compact as _compact
-
-        seq_reclaimed = _compact(index).pages_reclaimed
+        seq_reclaimed = compact(index).pages_reclaimed
         result.add(
             size=n, method="sequential", tc_seconds=watch.seconds,
             write_pages=pager.stats.writes,

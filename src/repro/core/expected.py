@@ -96,23 +96,6 @@ class ExpectedNNEngine(BaseEngine):
         return self._run_batch(queries, {"top": top})
 
     # -- BaseEngine hooks ----------------------------------------------
-    def _retrieve(self, q: np.ndarray, params: dict) -> list[int]:
-        # Route through the public candidates() so subclass overrides
-        # of the documented Step-1 API affect query execution.
-        return self.candidates(q)
-
-    def _retrieve_batch(self, qs, params: dict) -> list[list[int]]:
-        # candidates() is a plain retriever delegate unless a subclass
-        # overrides it, so the vectorized fast path stays available.
-        if (
-            self.memo_radius <= 0
-            and type(self).candidates is ExpectedNNEngine.candidates
-        ):
-            batch = getattr(self.retriever, "candidates_batch", None)
-            if batch is not None:
-                return batch(np.stack(qs))
-        return super()._retrieve_batch(qs, params)
-
     def _compute(
         self, q: np.ndarray, ids: list[int], params: dict
     ) -> ExpectedNNResult:

@@ -156,11 +156,6 @@ class GroupNNEngine(BaseEngine):
     def _prepare(self, query, params: dict) -> np.ndarray:
         return self._validate_queries(query)
 
-    def _memo_point(self, q: np.ndarray):
-        # Candidate sets depend on the whole query set and the
-        # aggregate; point-keyed memoization does not apply.
-        return None
-
     def _retrieve(self, q: np.ndarray, params: dict) -> list[int]:
         return self.candidates(q, params["aggregate"])
 

@@ -125,12 +125,9 @@ class KNNEngine(BaseEngine):
         self, qs: list[np.ndarray], params: dict
     ) -> list[list[int]]:
         k = params["k"]
-        if self.memo_radius > 0 or (k == 1 and self.has_index):
-            # Per-query Step 1 under the base memo loop: the index path
-            # has no vectorized form, and a positive memo_radius must
-            # win over the vectorized filter (same contract as the
-            # base fast path).
-            return super()._retrieve_batch(qs, params)
+        if k == 1 and self.has_index:
+            # The index path has no vectorized form.
+            return [self._retrieve(q, params) for q in qs]
         ids, los, his = self.dataset.packed_regions()
         if len(ids) <= k:
             return [[int(i) for i in ids] for _ in qs]

@@ -123,9 +123,8 @@ class PNNQEngine(BaseEngine):
         PV-index passes its own secondary index here).
 
     Timing, page I/O, and cache behavior live on :attr:`stats` (an
-    :class:`~repro.engine.ExecutionStats`); ``result_cache_size`` and
-    ``memo_radius`` are forwarded to
-    :class:`~repro.engine.BaseEngine`.
+    :class:`~repro.engine.ExecutionStats`); ``result_cache_size`` is
+    forwarded to :class:`~repro.engine.BaseEngine`.
     """
 
     def query(self, query: np.ndarray) -> PNNQResult:

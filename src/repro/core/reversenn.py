@@ -146,9 +146,6 @@ class ReverseNNEngine(BaseEngine):
             np.asarray(q.region.hi).tobytes(),
         )
 
-    def _memo_point(self, q: UncertainObject):
-        return None
-
     def _retrieve(self, q: UncertainObject, params: dict) -> list[int]:
         return self.candidates(q)
 

@@ -80,14 +80,12 @@ class TopKEngine(BaseEngine):
         *,
         secondary=None,
         result_cache_size: int = 0,
-        memo_radius: float = 0.0,
     ) -> None:
         super().__init__(
             dataset,
             retriever,
             secondary=secondary,
             result_cache_size=result_cache_size,
-            memo_radius=memo_radius,
         )
         self.n_bins = n_bins
 

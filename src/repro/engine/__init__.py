@@ -3,10 +3,10 @@
 This package is the seam between the paper's query classes and the
 serving-oriented roadmap: :class:`BaseEngine` owns the OR→PC template,
 retriever resolution, shared :class:`ExecutionStats` instrumentation
-(timing + simulated page I/O from one object), a batched query API with
-candidate-set memoization, and an optional LRU result cache.  The
-concrete engines in :mod:`repro.core` are thin subclasses implementing
-only their probability-computation step.
+(timing + simulated page I/O from one object), a batched query API
+that shares Step-1 work across a block, and an optional LRU result
+cache.  The concrete engines in :mod:`repro.core` are thin subclasses
+implementing only their probability-computation step.
 """
 
 from .base import BaseEngine
@@ -19,7 +19,7 @@ from .batch import (
     instance_distance_matrix,
     survival_products,
 )
-from .cache import CandidateMemo, LRUCache
+from .cache import LRUCache
 from .cost import CostEstimate, expected_candidates
 from .frozen import FrozenDict, readonly_array
 from .retrievers import (
@@ -42,7 +42,6 @@ __all__ = [
     "resolve_retriever",
     "discover_pagers",
     "LRUCache",
-    "CandidateMemo",
     "batched_qualification_probabilities",
     "element_survival_probabilities",
     "element_survivals",

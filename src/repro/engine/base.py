@@ -20,15 +20,16 @@ discrete pdfs.  :class:`BaseEngine` owns that template once:
   with the exact :class:`ExecutionStats` delta of that execution even
   when several threads share one engine;
 * a batched API — :meth:`BaseEngine.query_batch` — that deduplicates
-  identical queries, memoizes Step-1 candidate retrieval across nearby
-  queries, and hands whole candidate groups to vectorized Step-2 kernels;
+  identical queries, runs Step 1 for the whole block through the
+  retriever's ``candidates_batch`` where it has one, and hands whole
+  candidate groups to vectorized Step-2 kernels;
 * **epoch-aware invalidation** — every query entry point compares the
   dataset's mutation epoch against the epoch the engine last served at.
-  On drift the result cache and candidate memo are flushed, and a
-  retriever that advertises its own ``dataset_epoch`` but was not
-  maintained through the mutation (e.g. the dataset was mutated
-  directly rather than via ``index.insert``) is replaced by the exact
-  brute-force fallback — stale answers are never served.
+  On drift the result cache is flushed, and a retriever that
+  advertises its own ``dataset_epoch`` but was not maintained through
+  the mutation (e.g. the dataset was mutated directly rather than via
+  ``index.insert``) is replaced by the exact brute-force fallback —
+  stale answers are never served.
 
 Subclasses implement only the hooks: :meth:`_compute` (their
 probability-computation step) and, where profitable, vectorized
@@ -45,7 +46,7 @@ import numpy as np
 from ..analysis.locks import make_rlock
 from ..storage.pager import IOStats
 from ..uncertain import UncertainDataset
-from .cache import _MISS, CandidateMemo, LRUCache
+from .cache import _MISS, LRUCache
 from .retrievers import Retriever, discover_pagers, resolve_retriever
 from .stats import ExecutionStats
 
@@ -71,11 +72,6 @@ class BaseEngine:
         When positive, completed results are kept in an LRU cache keyed
         by the exact query and parameters; repeat queries are answered
         without touching either step.
-    memo_radius:
-        When positive, ``query_batch`` reuses one Step-1 candidate set
-        for all queries falling in the same grid cell of this side
-        length — an opt-in approximation for spatially local serving
-        workloads (see :class:`~repro.engine.cache.CandidateMemo`).
 
     Results are shared, not copied: cache hits and batch-deduplicated
     positions return the *same* result object.  They are also
@@ -93,7 +89,6 @@ class BaseEngine:
         *,
         secondary: Any = None,
         result_cache_size: int = 0,
-        memo_radius: float = 0.0,
     ) -> None:
         if not isinstance(dataset, UncertainDataset):
             raise TypeError(
@@ -106,16 +101,8 @@ class BaseEngine:
         self.has_index = retriever is not None
         self.secondary = secondary
         self.stats = ExecutionStats()
-        self.memo_radius = float(memo_radius)
         self.result_cache: LRUCache | None = (
             LRUCache(result_cache_size) if result_cache_size else None
-        )
-        #: Step-1 candidate memo, persistent across batches (flushed on
-        #: dataset mutation by the epoch check).
-        self._memo: CandidateMemo | None = (
-            CandidateMemo(self.memo_radius)
-            if self.memo_radius > 0
-            else None
         )
         self._pagers = discover_pagers(self.retriever, secondary)
         self._dataset_epoch = getattr(dataset, "epoch", 0)
@@ -141,12 +128,6 @@ class BaseEngine:
         """A hashable identity of (query, params) for cache and dedup."""
         return (q.tobytes(), tuple(sorted(params.items())))
 
-    def _memo_point(self, q: Any) -> np.ndarray | None:
-        """The point keying Step-1 memoization (``None`` disables it)."""
-        if isinstance(q, np.ndarray) and q.ndim == 1:
-            return q
-        return None
-
     def _retrieve(self, q: Any, params: dict) -> list[int]:
         """Step 1: candidate ids for one prepared query."""
         return self.retriever.candidates(q)
@@ -161,37 +142,16 @@ class BaseEngine:
         """Step 1 for a block of prepared queries.
 
         The default vectorizes through the retriever's
-        ``candidates_batch`` when Step 1 is the plain retriever call
-        and no memo is requested, and otherwise loops :meth:`_retrieve`
-        under the candidate memo (a positive ``memo_radius`` opts into
-        grid-cell candidate reuse, which also lets the grouped Step-2
-        kernels share work — so it must win over the fast path).  The
-        memo persists across batches and is flushed whenever the
-        dataset epoch moves.
+        ``candidates_batch`` when Step 1 is the plain retriever call,
+        and otherwise loops :meth:`_retrieve`.
         """
-        if self.memo_radius <= 0 and (
-            type(self)._retrieve is BaseEngine._retrieve
-        ):
+        if type(self)._retrieve is BaseEngine._retrieve:
             batch = getattr(self.retriever, "candidates_batch", None)
             if batch is not None and all(
                 isinstance(q, np.ndarray) and q.ndim == 1 for q in qs
             ):
                 return batch(np.stack(qs))
-        memo = self._memo
-        out: list[list[int]] = []
-        for q in qs:
-            point = self._memo_point(q) if memo is not None else None
-            if point is not None:
-                cached = memo.lookup(point)
-                if cached is not None:
-                    self.stats.memo_hits += 1
-                    out.append(cached)
-                    continue
-            ids = self._retrieve(q, params)
-            if point is not None:
-                memo.store(point, ids)
-            out.append(ids)
-        return out
+        return [self._retrieve(q, params) for q in qs]
 
     def _compute_batch(
         self, qs: list[Any], ids_list: list[list[int]], params: dict
@@ -209,10 +169,10 @@ class BaseEngine:
         """Flush derived state when the dataset has mutated.
 
         Called on every query entry point.  On epoch drift the result
-        cache and candidate memo are cleared (their entries describe the
-        pre-mutation database).  A retriever that advertises the epoch
-        it was maintained at (``dataset_epoch``) and lags the live
-        epoch was bypassed by the mutation — e.g. ``dataset.insert``
+        cache is cleared (its entries describe the pre-mutation
+        database).  A retriever that advertises the epoch it was
+        maintained at (``dataset_epoch``) and lags the live epoch was
+        bypassed by the mutation — e.g. ``dataset.insert``
         was called directly instead of ``index.insert`` — and is
         replaced by the exact brute-force fallback so no stale Step-1
         answer is ever served.  Retrievers without the attribute are
@@ -224,8 +184,6 @@ class BaseEngine:
         self._dataset_epoch = epoch
         if self.result_cache is not None:
             self.result_cache.clear()
-        if self._memo is not None:
-            self._memo.clear()
         self.stats.invalidations += 1
         self._drop_stale_retriever()
 
@@ -317,7 +275,7 @@ class BaseEngine:
         return result
 
     def _run_batch(self, queries: Sequence[Any], params: dict) -> list:
-        """Answer a block of queries with dedup, memo, and batched PC."""
+        """Answer a block of queries with dedup and batched OR/PC."""
         with self._lock:
             return self._run_batch_locked(queries, params)
 

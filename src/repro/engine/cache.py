@@ -1,24 +1,12 @@
-"""Result caching and candidate-set memoization for the engine layer.
+"""Result caching for the engine layer.
 
-Two small reuse structures back the batched query API:
-
-* :class:`LRUCache` — an optional bounded result cache keyed by the
-  exact query (plus query parameters).  Hits skip both steps entirely —
-  the right trade for heavy-traffic serving where a small set of hot
-  queries dominates.
-* :class:`CandidateMemo` — Step-1 (candidate set) reuse across *nearby*
-  queries within and across batches.  Queries are quantized to grid
-  cells of a caller-chosen radius; queries landing in the same cell
-  share one retriever call.  At radius 0 only exactly-coincident memo
-  points reuse, which is always exact; a positive radius is an opt-in
-  approximation for serving workloads with spatial locality (the reused
-  set may differ from the per-query set near cell boundaries, while
-  Step-2 probabilities remain exact *for the reused set*).
-
-Both structures hold state derived from one dataset epoch:
-:class:`~repro.engine.base.BaseEngine` clears them whenever the
-dataset's mutation epoch moves, so neither can serve a pre-mutation
-answer after an ``insert``/``delete``.
+:class:`LRUCache` is an optional bounded result cache keyed by the
+exact query (plus query parameters).  Hits skip both steps entirely —
+the right trade for heavy-traffic serving where a small set of hot
+queries dominates.  It holds answers from one dataset epoch:
+:class:`~repro.engine.base.BaseEngine` clears it whenever the dataset's
+mutation epoch moves, so it cannot serve a pre-mutation answer after an
+``insert``/``delete``.
 """
 
 from __future__ import annotations
@@ -26,9 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable
 
-import numpy as np
-
-__all__ = ["LRUCache", "CandidateMemo"]
+__all__ = ["LRUCache"]
 
 #: Sentinel distinguishing "miss" from a cached ``None``.
 _MISS = object()
@@ -78,63 +64,3 @@ class LRUCache:
 
 
 LRUCache.MISS = _MISS
-
-
-class CandidateMemo:
-    """Grid-quantized memo of Step-1 candidate sets.
-
-    Parameters
-    ----------
-    radius:
-        Cell side length of the quantization grid.  ``0.0`` reuses only
-        for exactly identical memo points (always exact); larger values
-        trade Step-1 work for boundary-case approximation.
-    maxsize:
-        Bound on stored cells.  The memo persists across batches on a
-        long-lived serving engine, so it evicts least-recently-used
-        cells past this bound rather than growing with every distinct
-        grid cell ever queried.
-    """
-
-    def __init__(self, radius: float = 0.0, maxsize: int = 4096) -> None:
-        if radius < 0.0:
-            raise ValueError("radius must be >= 0")
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.radius = float(radius)
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._cells: OrderedDict[tuple, list[int]] = OrderedDict()
-
-    def key(self, point: np.ndarray) -> tuple:
-        """The grid cell of ``point`` under the memo radius."""
-        p = np.asarray(point, dtype=np.float64)
-        if self.radius > 0.0:
-            return tuple(np.floor(p / self.radius).astype(np.int64))
-        return tuple(p)
-
-    def lookup(self, point: np.ndarray) -> list[int] | None:
-        """Cached candidate ids for the cell of ``point``, if any."""
-        key = self.key(point)
-        ids = self._cells.get(key)
-        if ids is None:
-            self.misses += 1
-            return None
-        self._cells.move_to_end(key)
-        self.hits += 1
-        return ids
-
-    def store(self, point: np.ndarray, ids: list[int]) -> None:
-        """Record the candidate set retrieved at ``point``, evicting
-        the least recently used cell when full."""
-        key = self.key(point)
-        if key in self._cells:
-            self._cells.move_to_end(key)
-        self._cells[key] = ids
-        if len(self._cells) > self.maxsize:
-            self._cells.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every memoized cell."""
-        self._cells.clear()

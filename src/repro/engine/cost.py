@@ -28,8 +28,8 @@ Units
 * ``page_reads`` — estimated simulated page reads per query (the
   quantity of Figures 9(c)/(g)).  Wall-clock and page I/O are kept as
   separate axes because the simulated pager costs no real time here but
-  would dominate on real disks; the planner weighs pages by a
-  configurable ``page_cost_us``.
+  would dominate on real disks; the planner scores wall-clock only and
+  reports pages in ``explain``.
 * ``candidates`` — expected candidate-set size handed to Step 2.
 """
 

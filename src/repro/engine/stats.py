@@ -54,10 +54,12 @@ class ExecutionStats:
     #: Queries that reused another query's full result inside a batch
     #: (exact duplicates collapsed by deduplication).
     dedup_hits: int = 0
-    #: Queries that reused a nearby query's candidate set (Step-1 memo).
+    #: Always 0: no engine reuses one query's Step-1 set for another.
+    #: Kept because ``perfbench/layers.py`` sums it into
+    #: ``engine.reuse_ratio``.
     memo_hits: int = 0
     #: Dataset-epoch drifts observed: each one flushed the result cache
-    #: and the candidate memo (stale pre-mutation answers discarded).
+    #: (stale pre-mutation answers discarded).
     invalidations: int = 0
     #: Epoch drifts where the configured index retriever was itself
     #: stale and the engine swapped in the exact brute-force fallback.

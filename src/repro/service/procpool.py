@@ -40,10 +40,8 @@ Fault tolerance
   counters (``retries``, ``worker_restarts``) ride the results'
   :class:`~repro.engine.ExecutionStats` and
   :meth:`ProcessPoolServer.recovery_snapshot`.
-* Workers **heartbeat** while executing a chunk, so the parent can
-  distinguish "slow but alive" from "hung": a worker silent *and*
-  unfinished past its total chunk budget trips :class:`WorkerStalled`
-  and is killed + respawned.
+* A worker unfinished past its total chunk budget (``stall_timeout``)
+  trips :class:`WorkerStalled` and is killed + respawned.
 * The re-attach **fence is re-entrant and leak-free**: a worker that
   dies mid-fence (before or instead of acking) is retired and
   respawned at the new segment; the old segment is unlinked on every
@@ -62,7 +60,6 @@ import time
 from collections import deque
 from typing import Any, Sequence
 
-from ..analysis.locks import make_lock
 from ..storage.durable import StoreReadOnly
 from .scheduler import MutationWork
 from .server import UncertainDBServer
@@ -73,6 +70,11 @@ __all__ = ["ProcessPoolServer", "WorkerDied", "WorkerStalled"]
 #: Minimum queries per scattered chunk: below this, pipe + merge
 #: overhead outweighs extra processes and the group runs on one.
 SCATTER_MIN = 8
+#: Re-dispatch attempts for a chunk whose worker died or stalled,
+#: before the inline-execution fallback.
+MAX_CHUNK_RETRIES = 2
+#: Attempts at a worker's shared-segment attach before the chunk fails.
+ATTACH_RETRIES = 3
 
 
 class WorkerDied(RuntimeError):
@@ -117,33 +119,18 @@ class _WorkerState:
     ) -> tuple[str, str, str]:
         """``(retriever name, reason, cost_kind)`` for one template.
 
-        Mirrors ``Database._fixed_choice`` for the policy-fixed kinds,
-        then routes everything else to the sharded scatter-gather
-        filter (or brute force when forced).  Index retrievers are not
-        available inside workers — their paged structures live in the
-        parent and are not shared.
+        The policy-fixed kinds follow the parent's rule
+        (``repro.api.database._fixed_choice``); everything else
+        goes to the sharded scatter-gather filter (or brute force when
+        forced).  Index retrievers are not available inside workers —
+        their paged structures live in the parent and are not shared.
         """
-        if kind == "reverse_nn":
-            return (
-                "none",
-                "domination-based Step 1 over object regions; "
-                "point retrievers do not apply",
-                "reverse_nn",
-            )
-        if kind == "knn" and params.get("k", 1) > 1:
-            return (
-                "brute",
-                "k > 1 widens Step 1 to the exact k-th-maxdist filter "
-                "over the whole database; indexes accelerate only k = 1",
-                "knn:exact",
-            )
-        if kind == "group_nn" and params.get("aggregate") != "min":
-            return (
-                "brute",
-                "sum/max aggregates run the direct aggregate-bound "
-                "filter; an index narrows only the min aggregate",
-                "group_nn:direct",
-            )
+        from ..api.database import _fixed_choice
+
+        fixed = _fixed_choice(kind, params, len(self.dataset))
+        if fixed is not None:
+            name, reason, _, bucket = fixed
+            return name, reason, bucket
         if forced in (None, "sharded"):
             return (
                 "sharded",
@@ -179,15 +166,12 @@ class _WorkerState:
                     self.dataset, self.config.get("n_shards", DEFAULT_SHARDS)
                 )
             retriever = ShardedRetriever(self.dataset, layout=self._layout)
-        spec = _KINDS[kind]
-        kwargs: dict[str, Any] = {
-            "secondary": None,
-            "result_cache_size": self.config.get("result_cache_size", 128),
-            "memo_radius": self.config.get("memo_radius", 0.0),
-        }
-        if spec.takes_n_bins:
-            kwargs["n_bins"] = self.config.get("n_bins", 8)
-        engine = spec.engine_cls(self.dataset, retriever, **kwargs)
+        engine = _KINDS[kind](
+            self.dataset,
+            retriever,
+            secondary=None,
+            result_cache_size=self.config["result_cache_size"],
+        )
         if retriever is not None:
             # Shard prune/dispatch counts land on the engine's stats,
             # so the measured deltas carry them back over the pipe.
@@ -255,14 +239,13 @@ def _attach_state(
     """
     from ..testing import faults as _faults
 
-    attempts = max(1, int(config.get("attach_retries", 3)))
     delay = 0.01
-    for attempt in range(attempts):
+    for attempt in range(ATTACH_RETRIES):
         try:
             _faults.check("proc.attach", wid=wid)
             return _WorkerState(handle, config)
         except OSError:
-            if attempt == attempts - 1:
+            if attempt == ATTACH_RETRIES - 1:
                 raise
             time.sleep(delay)
             delay *= 2
@@ -276,39 +259,13 @@ def _worker_main(
 
     The state is built lazily on the first ``run`` so a worker that
     only ever sees fences (or an immediate ``stop``) never maps the
-    segment at all.  While a chunk (or fence) is executing, a daemon
-    thread heartbeats over the pipe so the parent's stall watchdog can
-    tell slow from hung; beats are **busy-gated** — an idle worker's
-    parent is not reading the pipe, and unread beats would eventually
-    fill its buffer and deadlock the next real send.
+    segment at all.  The main loop is the pipe's only sender.
     """
     from ..testing import faults as _faults
 
     plan = config.get("fault_plan")
     if plan is not None:
         _faults.arm(plan)
-    send_lock = make_lock("procpool.send_lock")
-    busy = threading.Event()
-    stopping = threading.Event()
-
-    def _send(msg: tuple) -> None:
-        with send_lock:
-            conn.send(msg)
-
-    hb_interval = float(config.get("heartbeat_interval", 0.0) or 0.0)
-    if hb_interval > 0:
-        def _beat() -> None:
-            while not stopping.wait(hb_interval):
-                if busy.is_set():
-                    try:
-                        _send(("hb", wid))
-                    except (OSError, ValueError):
-                        return  # pipe gone: the process is exiting
-
-        threading.Thread(
-            target=_beat, name=f"uncertaindb-hb-{wid}", daemon=True
-        ).start()
-
     state: _WorkerState | None = None
     try:
         while True:
@@ -321,46 +278,37 @@ def _worker_main(
                 return
             if op == "fence":
                 _, epoch, new_handle = msg
-                busy.set()
-                try:
-                    _faults.check("proc.fence", wid=wid)
-                    if state is not None:
-                        state.close()
-                        state = None
-                    handle = new_handle
-                    _send(("fenced", int(epoch)))
-                finally:
-                    busy.clear()
+                _faults.check("proc.fence", wid=wid)
+                if state is not None:
+                    state.close()
+                    state = None
+                handle = new_handle
+                conn.send(("fenced", int(epoch)))
                 continue
             # ("run", kind, queries, params, forced)
             _, kind, queries, params, forced = msg
-            busy.set()
             try:
+                _faults.check("proc.chunk", wid=wid, kind=kind)
+                if state is None:
+                    state = _attach_state(handle, config, wid)
+                t0 = time.perf_counter()
+                results = state.execute(kind, queries, params, forced)
+                elapsed = time.perf_counter() - t0
+            except BaseException as error:  # noqa: BLE001 - shipped back
                 try:
-                    _faults.check("proc.chunk", wid=wid, kind=kind)
-                    if state is None:
-                        state = _attach_state(handle, config, wid)
-                    t0 = time.perf_counter()
-                    results = state.execute(kind, queries, params, forced)
-                    elapsed = time.perf_counter() - t0
-                except BaseException as error:  # noqa: BLE001 - shipped back
-                    try:
-                        _send(("err", error))
-                    # A broken __reduce__ can raise anything.
-                    except Exception:  # noqa: BLE001
-                        _send(
-                            ("err", RuntimeError(
-                                f"{type(error).__name__}: {error}"
-                            ))
-                        )
-                else:
-                    _send(("ok", results, elapsed))
-            finally:
-                busy.clear()
+                    conn.send(("err", error))
+                # A broken __reduce__ can raise anything.
+                except Exception:  # noqa: BLE001
+                    conn.send(
+                        ("err", RuntimeError(
+                            f"{type(error).__name__}: {error}"
+                        ))
+                    )
+            else:
+                conn.send(("ok", results, elapsed))
     except KeyboardInterrupt:
         pass
     finally:
-        stopping.set()
         if state is not None:
             state.close()
         try:
@@ -431,20 +379,10 @@ class ProcessPoolServer(UncertainDBServer):
         drives one or more idle processes per group.
     n_shards:
         Target shard count for the workers' scatter-gather Step 1.
-    scatter_min:
-        Minimum queries per scattered chunk; smaller groups run on a
-        single process.
     stall_timeout:
         Total seconds one dispatched chunk (or fence ack) may take
         before the worker is presumed hung, killed, and its chunk
         re-dispatched (:class:`WorkerStalled`).
-    heartbeat_interval:
-        Seconds between worker liveness beats while busy; ``0``
-        disables heartbeats (stall detection still works — it is a
-        time budget, not a silence detector).
-    max_chunk_retries:
-        Re-dispatch attempts for a chunk whose worker died or
-        stalled, before the inline-execution fallback.
     fault_plan:
         A :class:`~repro.testing.faults.FaultPlan` shipped to every
         spawned worker and armed there (chaos tests only; ``None``
@@ -458,10 +396,7 @@ class ProcessPoolServer(UncertainDBServer):
         workers: int = 2,
         max_group: int = 256,
         n_shards: int = DEFAULT_SHARDS,
-        scatter_min: int = SCATTER_MIN,
         stall_timeout: float = 30.0,
-        heartbeat_interval: float = 0.5,
-        max_chunk_retries: int = 2,
         fault_plan: Any = None,
     ) -> None:
         import multiprocessing
@@ -474,17 +409,12 @@ class ProcessPoolServer(UncertainDBServer):
         # and forking a threaded process is undefined behavior-adjacent.
         self._ctx = multiprocessing.get_context("spawn")
         self._config = {
-            "n_bins": getattr(db, "n_bins", 8),
-            "result_cache_size": getattr(db, "result_cache_size", 128),
-            "memo_radius": getattr(db, "memo_radius", 0.0),
+            "result_cache_size": db.result_cache_size,
             "n_shards": n_shards,
-            "heartbeat_interval": float(heartbeat_interval),
             "fault_plan": fault_plan,
         }
         self._n_shards = n_shards
-        self._scatter_min = max(1, int(scatter_min))
         self._stall_timeout = float(stall_timeout)
-        self._max_chunk_retries = max(0, int(max_chunk_retries))
         self._handle = db.dataset.instance_store().export_shared()
         self._proc_cv = threading.Condition()
         self._procs: list[_WorkerProc] = []
@@ -564,22 +494,15 @@ class ProcessPoolServer(UncertainDBServer):
             self._proc_cv.notify_all()
 
     def _recv_result(self, proc: _WorkerProc, budget_at: float) -> Any:
-        """Gather one pipe message, tolerating heartbeats and hangs.
+        """Gather one pipe message, or raise once the budget is spent.
 
-        Heartbeat frames are consumed and dropped (they only prove
-        liveness).  ``budget_at`` is the absolute ``time.monotonic``
-        point at which the chunk is declared stalled — a *total time
-        budget*, not a silence detector: a hung worker main thread
-        with a live heartbeat thread would never fall silent, so
-        silence alone cannot catch it.
+        ``budget_at`` is the absolute ``time.monotonic`` point at which
+        the chunk is declared stalled — a *total time budget*.
         """
         poll = max(0.01, min(0.25, self._stall_timeout / 10.0))
         while True:
             if proc.conn.poll(min(poll, max(0.0, budget_at - time.monotonic()))):
-                msg = proc.conn.recv()
-                if isinstance(msg, tuple) and msg and msg[0] == "hb":
-                    continue
-                return msg
+                return proc.conn.recv()
             if time.monotonic() >= budget_at:
                 raise WorkerStalled(
                     f"worker {proc.wid} exceeded its "
@@ -596,7 +519,7 @@ class ProcessPoolServer(UncertainDBServer):
         params: tuple[tuple[str, Any], ...],
         forced: str | None,
     ) -> list[Any]:
-        want = max(1, min(len(queries) // self._scatter_min, 1 << 10))
+        want = max(1, min(len(queries) // SCATTER_MIN, 1 << 10))
         procs = self._acquire(want)
         chunks = _split(queries, len(procs))
         procs = procs[: len(chunks)]
@@ -693,7 +616,7 @@ class ProcessPoolServer(UncertainDBServer):
         """
         delay = 0.005
         attempts = 0
-        for _ in range(self._max_chunk_retries):
+        for _ in range(MAX_CHUNK_RETRIES):
             try:
                 proc = self._acquire(1)[0]
             except WorkerDied:

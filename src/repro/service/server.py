@@ -28,6 +28,7 @@ import time
 from typing import Any, Sequence
 
 from ..analysis.locks import make_lock
+from ..api.result import Q, QuerySpec
 from .future import QueryFuture, QueryTimeout
 from .scheduler import CoalescingScheduler, MutationWork, ReadGroup
 
@@ -298,7 +299,7 @@ class Session:
         timeout: float | None = None,
     ) -> QueryFuture:
         """Probabilistic NN (the paper's PNNQ) at a point."""
-        return self._submit("nn", query, (), retriever, timeout)
+        return self._submit(Q.nn(query), retriever, timeout)
 
     def knn(
         self,
@@ -309,7 +310,7 @@ class Session:
         timeout: float | None = None,
     ) -> QueryFuture:
         """Probabilistic k-NN at a point."""
-        return self._submit("knn", query, (("k", k),), retriever, timeout)
+        return self._submit(Q.knn(query, k), retriever, timeout)
 
     def topk(
         self,
@@ -320,7 +321,7 @@ class Session:
         timeout: float | None = None,
     ) -> QueryFuture:
         """The k objects most likely to be the NN of ``query``."""
-        return self._submit("topk", query, (("k", k),), retriever, timeout)
+        return self._submit(Q.topk(query, k), retriever, timeout)
 
     def threshold(
         self,
@@ -331,9 +332,7 @@ class Session:
         timeout: float | None = None,
     ) -> QueryFuture:
         """Which objects have qualification probability >= ``p``."""
-        return self._submit(
-            "threshold", query, (("tau", p),), retriever, timeout
-        )
+        return self._submit(Q.threshold(query, p), retriever, timeout)
 
     def group_nn(
         self,
@@ -345,15 +344,14 @@ class Session:
     ) -> QueryFuture:
         """Group NN over a set of query points."""
         return self._submit(
-            "group_nn", queries, (("aggregate", aggregate),), retriever,
-            timeout,
+            Q.group_nn(queries, aggregate), retriever, timeout
         )
 
     def reverse_nn(
         self, query_object: Any, *, timeout: float | None = None
     ) -> QueryFuture:
         """Objects that may have ``query_object`` as *their* NN."""
-        return self._submit("reverse_nn", query_object, (), None, timeout)
+        return self._submit(Q.reverse_nn(query_object), None, timeout)
 
     def expected_nn(
         self,
@@ -364,9 +362,7 @@ class Session:
         timeout: float | None = None,
     ) -> QueryFuture:
         """Expected-distance NN ranking at a point."""
-        return self._submit(
-            "expected_nn", query, (("top", top),), retriever, timeout
-        )
+        return self._submit(Q.expected_nn(query, top), retriever, timeout)
 
     def batch(self, specs: Sequence[Any]) -> list[QueryFuture]:
         """Submit a block of :class:`~repro.api.QuerySpec` values."""
@@ -390,9 +386,7 @@ class Session:
     # ------------------------------------------------------------------
     def _submit(
         self,
-        kind: str,
-        query: Any,
-        params: tuple[tuple[str, Any], ...],
+        spec: QuerySpec,
         retriever: str | None,
         timeout: float | None = None,
     ) -> QueryFuture:
@@ -400,7 +394,9 @@ class Session:
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive seconds")
         deadline = None if timeout is None else time.monotonic() + timeout
-        return self._server.submit(kind, query, params, retriever, deadline)
+        return self._server.submit(
+            spec.kind, spec.query, spec.params, retriever, deadline
+        )
 
     def _check_open(self) -> None:
         if self._closed:

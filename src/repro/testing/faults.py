@@ -33,8 +33,8 @@ Sites wired into the stack (the chaos matrix):
 ``proc.attach``        in a worker, before attaching the shared
                        segment (``fail`` — exercises attach retry)
 ``proc.chunk``         in a worker, before executing a dispatched
-                       chunk (``kill`` / ``hang`` — exercises retry,
-                       heartbeats, and stall detection)
+                       chunk (``kill`` / ``hang`` — exercises retry
+                       and stall detection)
 ``proc.fence``         in a worker, on receiving a re-attach fence
                        (``kill`` — exercises fence leak-freedom)
 =====================  ==============================================

@@ -8,8 +8,8 @@ Mutation is observable through two mechanisms:
 
 * :attr:`UncertainDataset.epoch` — a monotonically increasing counter
   bumped by every :meth:`insert` / :meth:`delete`.  Anything that
-  caches derived state (engine result caches, candidate memos, index
-  retrievers) records the epoch it was computed at and invalidates
+  caches derived state (engine result caches, index retrievers)
+  records the epoch it was computed at and invalidates
   itself when the live epoch has moved on.
 * :meth:`UncertainDataset.row_of` — a stable integer handle assigned at
   insertion time and never reused, so external structures can key

@@ -285,6 +285,21 @@ class TestSurface:
         spec = Q.knn(queries[0], k=2)
         assert db.explain(spec).retriever == db.explain("knn", k=2).retriever
 
+    @pytest.mark.parametrize(
+        "kind",
+        ["nn", "knn", "topk", "threshold", "group_nn", "reverse_nn",
+         "expected_nn"],
+    )
+    def test_explain_plans_the_verbs_default_template(
+        self, db, dataset, queries, kind
+    ):
+        query = {
+            "group_nn": queries[:3],
+            "reverse_nn": dataset[dataset.ids[0]],
+        }.get(kind, queries[0])
+        executed = getattr(db, kind)(query).plan
+        assert db.explain(kind).params == executed.params
+
     def test_repr(self, db):
         text = repr(db)
         assert "Database(" in text and "epoch=0" in text

@@ -23,7 +23,12 @@ import repro.api as api
 import repro.engine as engine_pkg
 import repro.service as service_pkg
 from repro.api import Database, Planner, Q
-from repro.service import QueryFuture, Session, UncertainDBServer
+from repro.service import (
+    ProcessPoolServer,
+    QueryFuture,
+    Session,
+    UncertainDBServer,
+)
 from repro.core import (
     ExpectedNNEngine,
     GroupNNEngine,
@@ -114,6 +119,16 @@ PINNED = {
     "timeout: 'float | None' = None) -> 'QueryFuture'",
     Session.insert: "(self, obj: 'Any') -> 'QueryFuture'",
     Session.delete: "(self, oid: 'int') -> 'QueryFuture'",
+    # Constructors: every option here is set by a caller or a test.
+    Database.__init__: "(self, dataset: 'UncertainDataset', *, "
+    "indexes: 'Sequence[str]' = ('pv', 'rtree', 'uv'), "
+    "result_cache_size: 'int' = 128, "
+    "planner: 'Planner | None' = None) -> 'None'",
+    Planner.__init__: "(self, *, ema_alpha: 'float' = 0.4, "
+    "replan_every: 'int' = 64) -> 'None'",
+    ProcessPoolServer.__init__: "(self, db: 'Any', *, workers: 'int' = 2, "
+    "max_group: 'int' = 256, n_shards: 'int' = 8, "
+    "stall_timeout: 'float' = 30.0, fault_plan: 'Any' = None) -> 'None'",
 }
 
 
@@ -128,7 +143,7 @@ def test_pinned_signatures(obj):
 
 
 ENGINE_HEAD = ("dataset", "retriever")
-ENGINE_KEYWORD_ONLY = {"secondary", "result_cache_size", "memo_radius"}
+ENGINE_KEYWORD_ONLY = {"secondary", "result_cache_size"}
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 Covers the satellite contract of the execution-layer PR: batch-vs-loop
 result equivalence for all seven engines, ``ExecutionStats``
 reset/snapshot/delta semantics, and LRU result-cache hit behavior —
-plus the brute-force retriever fallback and candidate memoization.
+plus the brute-force retriever fallback.
 """
 
 import dataclasses
@@ -25,7 +25,6 @@ from repro.core import (
 from repro.core.pvcell import possible_nn_ids
 from repro.engine import (
     BruteForceRetriever,
-    CandidateMemo,
     ExecutionStats,
     LRUCache,
     batched_qualification_probabilities,
@@ -301,7 +300,7 @@ class TestResultCache:
 
 
 # ----------------------------------------------------------------------
-# Retriever fallback and candidate memoization
+# Retriever fallback
 # ----------------------------------------------------------------------
 class TestRetrievers:
     def test_brute_force_matches_ground_truth(self, dataset):
@@ -345,41 +344,6 @@ class TestRetrievers:
         whole = engine._retrieve_batch(list(block), {"k": 3})
         monkeypatch.setattr(retrievers_mod, "BATCH_CHUNK", 2)
         assert engine._retrieve_batch(list(block), {"k": 3}) == whole
-
-    def test_memo_reuses_nearby_candidates(self, dataset, index):
-        engine = PNNQEngine(dataset, index, memo_radius=1e9)
-        # With a cell larger than the domain every distinct query in a
-        # batch shares one Step-1 retrieval.
-        rng = np.random.default_rng(6)
-        block = dataset.domain.sample_points(5, rng)
-        results = engine.query_batch(block)
-        assert engine.stats.memo_hits == len(block) - 1
-        assert len(results) == len(block)
-
-    def test_memo_applies_to_brute_force_fallback(self, dataset):
-        # A positive memo_radius must win over the candidates_batch
-        # fast path — otherwise the knob would silently no-op for the
-        # default retriever.
-        engine = PNNQEngine(dataset, memo_radius=1e9)
-        rng = np.random.default_rng(13)
-        block = dataset.domain.sample_points(6, rng)
-        results = engine.query_batch(block)
-        assert engine.stats.memo_hits == len(block) - 1
-        assert len(results) == len(block)
-
-    def test_memo_applies_to_knn_filter_path(self, dataset):
-        engine = KNNEngine(dataset, memo_radius=1e9)
-        rng = np.random.default_rng(14)
-        block = dataset.domain.sample_points(6, rng)
-        results = engine.query_batch(block, k=3)
-        assert engine.stats.memo_hits == len(block) - 1
-        assert len(results) == len(block)
-
-    def test_memo_radius_zero_is_exact(self):
-        memo = CandidateMemo(0.0)
-        memo.store(np.array([1.0, 2.0]), [7])
-        assert memo.lookup(np.array([1.0, 2.0])) == [7]
-        assert memo.lookup(np.array([1.0, 2.0000001])) is None
 
 
 # ----------------------------------------------------------------------
@@ -460,46 +424,31 @@ class TestEpochInvalidation:
         assert again is fresh
 
     def test_query_batch_cache_and_memo_cannot_serve_stale(self):
-        # The satellite regression: a batch served through the LRU
-        # result cache AND the candidate memo must reflect a direct
-        # ``dataset.insert`` issued between batches.
+        # A batch served through the LRU result cache must reflect a
+        # direct ``dataset.insert`` issued between batches.
         dataset = _mutable_dataset(seed=78)
-        engine = PNNQEngine(
-            dataset, result_cache_size=16, memo_radius=1e9
-        )
+        engine = PNNQEngine(dataset, result_cache_size=16)
         rng = np.random.default_rng(1)
         block = dataset.domain.sample_points(5, rng)
         before = engine.query_batch(block)
-        assert engine.stats.memo_hits == len(block) - 1
+        again = engine.query_batch(block)
+        assert all(a is b for a, b in zip(again, before))
+        assert engine.stats.cache_hits == len(block)
 
         dataset.insert(_dominating_object(dataset, block[0]))
         after = engine.query_batch(block)
         assert engine.stats.invalidations == 1
+        assert engine.stats.cache_hits == len(block)
         # The object glued to block[0] dominates there: a stale cached
-        # result or memoized candidate set would miss it.
+        # result would miss it.
         assert after[0].best == 9_999
 
-        # Identically configured engine built fresh on the mutated
-        # dataset (same memo radius: the memo's cell sharing is part of
-        # the configured semantics being compared).
-        reference = PNNQEngine(dataset, memo_radius=1e9)
+        reference = PNNQEngine(dataset)
         for got, want, old in zip(
             after, reference.query_batch(block), before
         ):
             assert_prob_maps_equal(got.probabilities, want.probabilities)
             assert got is not old
-
-    def test_memo_persists_across_batches_within_epoch(self):
-        dataset = _mutable_dataset(seed=79)
-        engine = PNNQEngine(dataset, memo_radius=1e9)
-        rng = np.random.default_rng(2)
-        engine.query_batch(dataset.domain.sample_points(3, rng))
-        hits_before = engine.stats.memo_hits
-        # No mutation: the second batch reuses the memoized Step-1 set
-        # for every distinct query.
-        engine.query_batch(dataset.domain.sample_points(3, rng))
-        assert engine.stats.memo_hits == hits_before + 3
-        assert engine.stats.invalidations == 0
 
     def test_unmaintained_index_falls_back_to_brute_force(self):
         from repro.rtree import RTreePNNQ
@@ -577,11 +526,3 @@ class TestEpochInvalidation:
         assert not engine.has_index
         assert engine.stats.retriever_fallbacks == 1
         assert engine.query(q).best == 9_999
-
-    def test_candidate_memo_is_bounded(self):
-        memo = CandidateMemo(radius=1.0, maxsize=3)
-        for i in range(5):
-            memo.store(np.array([float(i), 0.0]), [i])
-        assert len(memo._cells) == 3
-        assert memo.lookup(np.array([0.0, 0.0])) is None  # evicted
-        assert memo.lookup(np.array([4.0, 0.0])) == [4]

@@ -78,9 +78,7 @@ class TestConstructorNormalization:
             for p in params
             if p.kind is inspect.Parameter.KEYWORD_ONLY
         }
-        assert {
-            "secondary", "result_cache_size", "memo_radius"
-        } <= keyword_only
+        assert {"secondary", "result_cache_size"} <= keyword_only
 
 
 # ----------------------------------------------------------------------
