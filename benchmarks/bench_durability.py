@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import shutil
 import time
 
 import numpy as np
@@ -83,9 +84,13 @@ def run_policy(tmp_path, params: dict, fsync: str) -> dict:
         apply_mutation(dataset, i)
     wal_seconds = time.perf_counter() - t0
     store._wal.flush()  # fsync="off": make the tail durable for replay
+    # Recover a copy: the live store holds the directory's single-writer
+    # lock, so a second DurableStore on ``path`` raises StoreLocked.
+    replica = tmp_path / f"db-{fsync}-replica"
+    shutil.copytree(path, replica)
 
     t0 = time.perf_counter()
-    recovered = DurableStore(path).recover()
+    recovered = DurableStore(replica).recover()
     recovery_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()

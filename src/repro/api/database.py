@@ -302,8 +302,8 @@ class Database:
         checksummed WAL record *before* it applies (the mutation epoch
         is the log sequence number), so a SIGKILL at any moment loses
         nothing under ``fsync="always"`` and at most the unsynced tail
-        under ``fsync="off"``.  :meth:`checkpoint` folds the log into a
-        fresh snapshot; :meth:`close` seals the directory.
+        under ``fsync="off"``.  :meth:`checkpoint` folds the log into
+        the snapshot; :meth:`close` seals the directory.
 
         ``on_wal_error`` picks the WAL write-failure policy (see
         :class:`~repro.storage.DurableStore`): ``"fail_stop"`` re-raises
@@ -925,11 +925,12 @@ class Database:
         return self._durable is not None
 
     def checkpoint(self) -> int:
-        """Fold the write-ahead log into a fresh snapshot.
+        """Fold the write-ahead log into the snapshot.
 
-        Writes the packed instance store to the snapshot file (atomic
-        rename; durable before the log is touched) and truncates the
-        WAL.  Returns the checkpointed epoch.  Only valid on a
+        Appends the net change since the previous checkpoint to the
+        snapshot file (or rewrites it whole once appending would
+        double it; durable before the log is touched) and truncates
+        the WAL.  Returns the checkpointed epoch.  Only valid on a
         database opened with :meth:`open`.
 
         On a served database, callers should quiesce mutations first

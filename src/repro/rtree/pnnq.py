@@ -25,10 +25,8 @@ import itertools
 import numpy as np
 
 from ..engine.cost import CostEstimate
-from ..geometry import (
-    maxdist_sq_point_rect,
-    mindist_sq_point_rect,
-)
+from ..engine.retrievers import minmax_sq_chunks
+from ..geometry import mindist_sq_point_rect
 from ..uncertain import UncertainDataset
 from .node import Entry
 from .rstar import RStarTree
@@ -123,24 +121,22 @@ class RTreePNNQ:
             if dist_sq > best_max_sq:
                 break  # everything remaining is at least this far
             if isinstance(item, Entry):
+                # Its maxdist entered the bound when its leaf was read.
                 collected.append((dist_sq, item))
-                best_max_sq = min(
-                    best_max_sq, maxdist_sq_point_rect(q, item.rect)
-                )
                 continue
             node = item
             if node.is_leaf:
+                # The whole leaf goes through the brute-force kernel,
+                # so R-tree, PV-index and brute force round alike.
                 self.tree.charge_leaf_read(node)
-                for entry in node.children:
-                    e_min = mindist_sq_point_rect(q, entry.rect)
+                entries = node.children
+                los = np.array([e.rect.lo for e in entries])
+                his = np.array([e.rect.hi for e in entries])
+                min_sq, max_sq = next(minmax_sq_chunks(q[None, :], los, his))
+                best_max_sq = min(best_max_sq, float(max_sq[0].min()))
+                for e_min, entry in zip(min_sq[0].tolist(), entries):
                     if e_min <= best_max_sq:
-                        heapq.heappush(
-                            heap, (e_min, next(counter), entry)
-                        )
-                        best_max_sq = min(
-                            best_max_sq,
-                            maxdist_sq_point_rect(q, entry.rect),
-                        )
+                        heapq.heappush(heap, (e_min, next(counter), entry))
             else:
                 for child in node.children:
                     c_min = mindist_sq_point_rect(q, child.mbr)

@@ -309,6 +309,15 @@ class UncertainDataset:
         except ValueError:
             pass
 
+    def mutation_lock(self):
+        """The lock every mutation and its listeners run under.
+
+        While a caller holds it no mutation is in flight: every
+        listener call seen so far belongs to a mutation that either
+        committed (``epoch`` has reached it) or was aborted.
+        """
+        return self._store_lock
+
     def _notify(self, op: str, obj: UncertainObject, epoch: int) -> None:
         for listener in self._listeners:
             listener(op, obj, epoch)

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import os
 import secrets
+import struct
+import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,18 +43,29 @@ __all__ = [
     "MappedSnapshot",
     "SharedInstanceStore",
     "SharedStoreHandle",
+    "TailRecord",
     "attach_file",
     "attach_shared",
+    "encode_tail",
+    "image_nbytes",
+    "scan_tail",
 ]
 
 #: First header word of every shared-store segment; an attach that
 #: does not find it is pointed at something that is not ours.
 _SHM_MAGIC = 0x5245_5052_4F53_544F  # "REPROSTO"
 #: Bump when the packed segment layout changes; attaches refuse a
-#: mismatch instead of misreading bytes.
-_SHM_LAYOUT_VERSION = 1
+#: mismatch instead of misreading bytes.  Version 2 snapshot files may
+#: carry tail records after the base image, which a version-1 reader
+#: would silently ignore.
+_SHM_LAYOUT_VERSION = 2
 #: int64 header words: magic, version, epoch, n, size, dims, 2 spare.
 _SHM_HEADER_WORDS = 8
+#: First header word of a tail record appended to a snapshot file.
+_TAIL_MAGIC = 0x5245_5052_4F54_4149  # "REPROTAI"
+#: Tail record frame: body length (u64), CRC32 of length + body (u32),
+#: and a zero pad word that keeps the body 8-byte aligned.
+_TAIL_FRAME = struct.Struct("<QII")
 
 
 @dataclass(frozen=True)
@@ -467,6 +480,13 @@ def _segment_layout(n: int, size: int, d: int) -> dict:
     return offsets
 
 
+def image_nbytes(n: int, size: int, dims: int) -> int:
+    """Bytes of a packed image of ``n`` objects with ``size`` instance
+    rows in ``dims`` dimensions (what :meth:`InstanceStore.export_file`
+    writes), computed without packing anything."""
+    return _segment_layout(n, size, dims)["total_bytes"]
+
+
 def _segment_arrays(buf, n: int, size: int, d: int) -> dict:
     """Numpy views over a segment buffer, keyed like the layout."""
     layout = _segment_layout(n, size, d)
@@ -487,6 +507,23 @@ def _segment_arrays(buf, n: int, size: int, d: int) -> dict:
         "weights": view("weights", size, np.float64, (size,)),
         "instances": view("instances", size * d, np.float64, (size, d)),
     }
+
+
+def _build_objects(oids, offsets, los, his, instances, weights):
+    """Objects over packed arrays, zero-copy: each object's region
+    corners, instances and weights are views of the arrays."""
+    from ..geometry import Rect
+
+    bounds = offsets.tolist()
+    return [
+        UncertainObject(
+            oid=oid,
+            region=Rect(los[slot], his[slot]),
+            instances=instances[bounds[slot]:bounds[slot + 1]],
+            weights=weights[bounds[slot]:bounds[slot + 1]],
+        )
+        for slot, oid in enumerate(oids.tolist())
+    ]
 
 
 def _untrack(shm) -> None:
@@ -624,18 +661,10 @@ class SharedStoreView:
         from ..geometry import Rect
         from .dataset import UncertainDataset
 
-        objects = []
-        for slot in range(self.handle.n):
-            start = int(self.offsets[slot])
-            end = int(self.offsets[slot + 1])
-            objects.append(
-                UncertainObject(
-                    oid=int(self.oids[slot]),
-                    region=Rect(self.los[slot], self.his[slot]),
-                    instances=self.instances[start:end],
-                    weights=self.weights[start:end],
-                )
-            )
+        objects = _build_objects(
+            self.oids, self.offsets, self.los, self.his,
+            self.instances, self.weights,
+        )
         domain = Rect(self.domain[0], self.domain[1])
         dataset = UncertainDataset(objects, domain=domain)
         dataset.adopt_shared_store(
@@ -689,6 +718,8 @@ class MappedSnapshot:
     layout, but backed by a file instead of a shared-memory segment.
     Objects built from it hold zero-copy views into the mapping, which
     stays alive as long as any view references it (numpy base chain).
+    The attributes describe the base image; tail records appended
+    after it (:func:`encode_tail`) are read with :meth:`tail`.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -728,39 +759,44 @@ class MappedSnapshot:
 
     # ------------------------------------------------------------------
     def build_objects(self) -> list[UncertainObject]:
-        """Reconstruct every object zero-copy over the mapping."""
-        from ..geometry import Rect
+        """Reconstruct every base-image object zero-copy over the mapping."""
+        return _build_objects(
+            self.oids, self.offsets, self.los, self.his,
+            self.instances, self.weights,
+        )
 
-        objects = []
-        for slot in range(self.n):
-            start = int(self.offsets[slot])
-            end = int(self.offsets[slot + 1])
-            objects.append(
-                UncertainObject(
-                    oid=int(self.oids[slot]),
-                    region=Rect(self.los[slot], self.his[slot]),
-                    instances=self.instances[start:end],
-                    weights=self.weights[start:end],
-                )
-            )
-        return objects
+    def tail(self, offset: int) -> "TailRecord":
+        """The tail record whose body starts at byte ``offset``.
 
-    def build_dataset(self) -> "UncertainDataset":
-        """A mutable dataset at the snapshot's epoch.
-
-        Unlike :meth:`SharedStoreView.build_dataset` no read-only store
-        is adopted: the dataset packs its own (mutable, incrementally
-        maintained) :class:`InstanceStore` lazily, so WAL replay and
-        later mutations apply normally.  Object pdfs remain zero-copy
-        views of the mapping.
+        ``offset`` comes from :func:`scan_tail`, which has already
+        checked the record's frame and CRC; the inserted objects are
+        zero-copy views of the mapping, like the base image's.
         """
-        from ..geometry import Rect
-        from .dataset import UncertainDataset
-
-        return UncertainDataset(
-            self.build_objects(),
-            domain=Rect(self.domain[0], self.domain[1]),
-            epoch=self.epoch,
+        header = np.frombuffer(
+            self._mm, dtype=np.int64, count=_SHM_HEADER_WORDS, offset=offset
+        )
+        magic, version, epoch_to, k, size, dims, epoch_from, n_deleted = (
+            int(x) for x in header
+        )
+        if (magic, version, dims) != (_TAIL_MAGIC, _SHM_LAYOUT_VERSION,
+                                      self.dims):
+            raise ValueError(
+                f"snapshot {self.path!r}: bytes at {offset} are not a "
+                f"{self.dims}-d tail record (magic/layout mismatch)"
+            )
+        arrays = _segment_arrays(self._mm[offset:], k, size, dims)
+        deleted = np.frombuffer(
+            self._mm, dtype=np.int64, count=n_deleted,
+            offset=offset + image_nbytes(k, size, dims),
+        )
+        return TailRecord(
+            epoch_from=epoch_from,
+            epoch_to=epoch_to,
+            deleted=deleted.tolist(),
+            objects=_build_objects(
+                arrays["oids"], arrays["offsets"], arrays["los"],
+                arrays["his"], arrays["instances"], arrays["weights"],
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -816,6 +852,123 @@ def attach_file(path: str | os.PathLike) -> MappedSnapshot:
     Refuses anything that is not a current snapshot: wrong magic,
     unknown layout version, or a file shorter than the header's
     promised payload (a torn write that escaped the atomic-rename
-    discipline).
+    discipline).  Bytes past the base image are tail records, read
+    one at a time through :meth:`MappedSnapshot.tail`.
     """
     return MappedSnapshot(path)
+
+
+# ----------------------------------------------------------------------
+# Tail records: incremental checkpoints appended to a snapshot file
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class TailRecord:
+    """The net mutations between two checkpoints, as one record.
+
+    Applying it to the state at ``epoch_from`` — drop every oid in
+    ``deleted``, then append ``objects`` in order — gives the state at
+    ``epoch_to``, ids order included.
+    """
+
+    epoch_from: int
+    epoch_to: int
+    deleted: list[int]
+    objects: list[UncertainObject]
+
+
+def encode_tail(
+    epoch_from: int,
+    epoch_to: int,
+    deleted: Sequence[int],
+    objects: Sequence[UncertainObject],
+    domain,
+) -> bytes:
+    """One framed tail record, ready to append to a snapshot file.
+
+    The body is a packed segment of the inserted objects in the export
+    layout (oids, offsets, domain, region corners, weights, instances),
+    whose header words read: tail magic, layout version, ``epoch_to``,
+    object count, instance rows, dims, ``epoch_from`` and the number of
+    deleted oids; the deleted oids (int64) follow the segment.  The
+    frame is the body length and a CRC32 over length and body, like a
+    WAL record's, so a torn or flipped record is detected.
+    """
+    k, dims = len(objects), domain.dims
+    counts = [o.n_instances for o in objects]
+    size = sum(counts)
+    segment = image_nbytes(k, size, dims)
+    body = bytearray(segment + 8 * len(deleted))
+    arrays = _segment_arrays(body, k, size, dims)
+    arrays["header"][:] = (
+        _TAIL_MAGIC, _SHM_LAYOUT_VERSION, epoch_to, k, size, dims,
+        epoch_from, len(deleted),
+    )
+    arrays["domain"][0] = domain.lo
+    arrays["domain"][1] = domain.hi
+    if k:
+        arrays["oids"][:] = [o.oid for o in objects]
+        np.cumsum(counts, out=arrays["offsets"][1:])
+        arrays["los"][:] = [o.region.lo for o in objects]
+        arrays["his"][:] = [o.region.hi for o in objects]
+        np.concatenate([o.weights for o in objects], out=arrays["weights"])
+        np.concatenate(
+            [o.instances for o in objects], out=arrays["instances"]
+        )
+    np.frombuffer(body, dtype=np.int64, offset=segment)[:] = deleted
+    return _tail_frame(body) + body
+
+
+def _tail_frame(body) -> bytes:
+    length = struct.pack("<Q", len(body))
+    crc = zlib.crc32(body, zlib.crc32(length)) & 0xFFFFFFFF
+    return _TAIL_FRAME.pack(len(body), crc, 0)
+
+
+def scan_tail(path: str | os.PathLike) -> tuple[list[int], int, bool]:
+    """Find the intact tail records of a snapshot file.
+
+    Returns ``(offsets, valid_bytes, damaged)``: the body offset of
+    every intact record in file order, the length up to which the file
+    is intact, and whether a torn or CRC-broken record follows it.
+    Reads the file without mapping it, so a caller can truncate the
+    damage before :func:`attach_file`.  Raises :class:`ValueError`
+    when the base image itself is not a current, complete snapshot.
+    """
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
+        header = np.frombuffer(
+            fh.read(_SHM_HEADER_WORDS * 8), dtype=np.int64
+        )
+        if len(header) < _SHM_HEADER_WORDS:
+            raise ValueError(
+                f"snapshot {path!r} is too short to hold a header"
+            )
+        magic, version, _epoch, n, size, dims = (int(x) for x in header[:6])
+        if magic != _SHM_MAGIC or version != _SHM_LAYOUT_VERSION:
+            raise ValueError(
+                f"file {path!r} is not an instance-store snapshot "
+                f"(magic/layout mismatch)"
+            )
+        pos = image_nbytes(n, size, dims)
+        if end < pos:
+            raise ValueError(
+                f"snapshot {path!r} is truncated: header promises "
+                f"{pos} bytes, file holds {end}"
+            )
+        fh.seek(pos)
+        offsets: list[int] = []
+        while pos < end:
+            frame = fh.read(_TAIL_FRAME.size)
+            if len(frame) < _TAIL_FRAME.size:
+                return offsets, pos, True
+            length, crc, _pad = _TAIL_FRAME.unpack(frame)
+            start = pos + _TAIL_FRAME.size
+            if start + length > end:
+                return offsets, pos, True
+            body = fh.read(length)
+            if _tail_frame(body) != frame:
+                return offsets, pos, True
+            offsets.append(start)
+            pos = start + length
+    return offsets, pos, False

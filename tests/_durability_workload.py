@@ -128,11 +128,17 @@ def fingerprint(db: Database) -> dict:
     return out
 
 
-def child_main(path: str) -> None:
+#: Mutations between the checkpoints of the checkpointing children.
+CHECKPOINT_EVERY = 7
+
+
+def child_main(path: str, checkpoint_every: int = 0) -> None:
     """Run the durable mutation workload until killed (never returns).
 
     Opens (or creates) the database at ``path`` with ``fsync="always"``
-    and applies the mutation sequence from the recovered epoch onward.
+    and applies the mutation sequence from the recovered epoch onward,
+    checkpointing after every ``checkpoint_every`` mutations when that
+    is positive (so a kill can land inside a checkpoint's append).
     Prints ``READY`` once the first mutation has committed so the
     parent knows the WAL is live before scheduling the SIGKILL.  The
     parent kills this process at an arbitrary moment; whatever epoch
@@ -153,5 +159,44 @@ def child_main(path: str) -> None:
     while True:
         apply_mutation(db, i)
         i += 1
+        if checkpoint_every and i % checkpoint_every == 0:
+            db.checkpoint()
         if i > 100_000:  # pragma: no cover - parent always kills first
             sys.exit(0)
+
+
+def crash_child_main(path: str, site: str) -> None:
+    """Die inside a checkpoint at fault site ``site`` (never returns).
+
+    Creates the database at ``path`` and applies the mutation sequence
+    with a checkpoint after every :data:`CHECKPOINT_EVERY` mutations,
+    printing ``CKPT <epoch>`` before each.  The third checkpoint is
+    killed at ``site`` (a ``kill`` fault: ``os._exit`` mid-checkpoint),
+    so two intact tail records precede it.  ``site == "merge"`` instead
+    kills the first checkpoint that merges, between its rename and the
+    WAL reset.  Every mutation the child applied was accepted, so
+    recovery must return exactly the prefix up to the last ``CKPT``.
+    """
+    import sys
+
+    from repro.testing import FaultPlan, FaultRule, arm
+    from repro.uncertain import InstanceStore
+
+    db = Database.open(path, dataset=base_dataset(), fsync="always")
+    if site == "merge":
+        export = InstanceStore.export_file
+
+        def export_then_arm(self, target):
+            epoch = export(self, target)
+            arm(FaultPlan([FaultRule("durable.wal_reset", "kill")]))
+            return epoch
+
+        InstanceStore.export_file = export_then_arm  # type: ignore
+    else:
+        arm(FaultPlan([FaultRule(site, "kill", after=2)]))
+    for i in range(2_000):
+        apply_mutation(db, i)
+        if (i + 1) % CHECKPOINT_EVERY == 0:
+            print(f"CKPT {db.epoch}", flush=True)
+            db.checkpoint()
+    sys.exit(0)  # the fault never fired: the parent reports it

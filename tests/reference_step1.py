@@ -3,13 +3,17 @@
 These are the min/max squared-distance kernel the brute-force filter
 ran before the per-dimension loop replaced it (one ``(b, n, d)``
 broadcast with the small ``d`` axis innermost, reduced by ``einsum``),
-the per-entry PV-index leaf filter, and the per-object Lemma 8 filter
-of ``PVIndex._affected_objects``.  They are retained verbatim (modulo
+the per-entry PV-index leaf filter, the per-entry R-tree leaf filter
+of ``RTreePNNQ.candidates``, and the per-object Lemma 8 filter of
+``PVIndex._affected_objects``.  They are retained verbatim (modulo
 imports) so ``tests/test_step1_kernel.py`` and ``tests/test_se_batch.py``
 can pin the new paths against them.
 """
 
 from __future__ import annotations
+
+import heapq
+import itertools
 
 import numpy as np
 
@@ -18,6 +22,7 @@ from repro.geometry import maxdist_sq_point_rect, mindist_sq_point_rect
 __all__ = [
     "reference_minmax_sq",
     "reference_pv_candidates",
+    "reference_rtree_candidates",
     "reference_affected_objects",
 ]
 
@@ -54,6 +59,56 @@ def reference_pv_candidates(index, query):
     )
     bound = max_sq.min()
     return [oid for (oid, _), m in zip(live, min_sq) if m <= bound]
+
+
+def reference_rtree_candidates(index, query):
+    """``RTreePNNQ.candidates`` with one scalar distance call per leaf
+    entry."""
+    from repro.rtree.node import Entry
+
+    q = np.asarray(query, dtype=np.float64)
+    root = index.tree._root
+    if root.mbr is None:
+        return []
+    counter = itertools.count()
+    heap = [(mindist_sq_point_rect(q, root.mbr), next(counter), root)]
+    best_max_sq = float("inf")
+    collected = []
+    while heap:
+        dist_sq, _, item = heapq.heappop(heap)
+        if dist_sq > best_max_sq:
+            break  # everything remaining is at least this far
+        if isinstance(item, Entry):
+            collected.append((dist_sq, item))
+            best_max_sq = min(
+                best_max_sq, maxdist_sq_point_rect(q, item.rect)
+            )
+            continue
+        node = item
+        if node.is_leaf:
+            index.tree.charge_leaf_read(node)
+            for entry in node.children:
+                e_min = mindist_sq_point_rect(q, entry.rect)
+                if e_min <= best_max_sq:
+                    heapq.heappush(
+                        heap, (e_min, next(counter), entry)
+                    )
+                    best_max_sq = min(
+                        best_max_sq,
+                        maxdist_sq_point_rect(q, entry.rect),
+                    )
+        else:
+            for child in node.children:
+                c_min = mindist_sq_point_rect(q, child.mbr)
+                if c_min <= best_max_sq:
+                    heapq.heappush(
+                        heap, (c_min, next(counter), child)
+                    )
+    return [
+        entry.key
+        for dist_sq, entry in collected
+        if dist_sq <= best_max_sq
+    ]
 
 
 def reference_affected_objects(self, probe_ubr, other, exclude_oid):

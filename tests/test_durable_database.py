@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from _durability_workload import (
+    CHECKPOINT_EVERY,
     apply_mutation,
     base_dataset,
     fingerprint,
@@ -132,7 +133,7 @@ class TestKillAndRecover:
     #: Seconds of mutation work each round gets before the SIGKILL.
     DELAYS = (0.05, 0.15, 0.3)
 
-    def _spawn_child(self, path):
+    def _spawn_child(self, path, checkpoint_every=0):
         env = dict(os.environ)
         env["PYTHONPATH"] = (
             f"{REPO_ROOT / 'src'}{os.pathsep}{REPO_ROOT / 'tests'}"
@@ -143,8 +144,9 @@ class TestKillAndRecover:
                 sys.executable,
                 "-c",
                 "import sys; from _durability_workload import child_main; "
-                "child_main(sys.argv[1])",
+                "child_main(sys.argv[1], int(sys.argv[2]))",
                 path,
+                str(checkpoint_every),
             ],
             cwd=str(REPO_ROOT),
             env=env,
@@ -154,10 +156,19 @@ class TestKillAndRecover:
         )
 
     def test_kill_and_recover_bit_identical(self, tmp_path):
-        path = str(tmp_path / "db")
+        self._kill_and_recover_rounds(str(tmp_path / "db"))
+
+    def test_kill_and_recover_inside_checkpoints(self, tmp_path):
+        """The child checkpoints every few mutations, so a SIGKILL can
+        land inside a tail append, a merge or a WAL reset."""
+        self._kill_and_recover_rounds(
+            str(tmp_path / "db"), checkpoint_every=CHECKPOINT_EVERY
+        )
+
+    def _kill_and_recover_rounds(self, path, checkpoint_every=0):
         last_epoch = 0
         for delay in self.DELAYS:
-            child = self._spawn_child(path)
+            child = self._spawn_child(path, checkpoint_every)
             try:
                 # Wait until the first mutation committed so the kill
                 # always lands mid-workload, never before the WAL is

@@ -8,6 +8,8 @@
   kernel kept in ``tests/reference_step1.py``.
 * The PV-index leaf filter runs through the same kernel, so after
   maintenance it returns exactly the brute-force candidates.
+* So does the R-tree's: it returns the candidates of the per-entry
+  scalar loop and reads the same leaves.
 """
 
 import sys
@@ -19,10 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.engine.retrievers as retrievers_module
-from reference_step1 import reference_minmax_sq, reference_pv_candidates
+from reference_step1 import (
+    reference_minmax_sq,
+    reference_pv_candidates,
+    reference_rtree_candidates,
+)
 from repro import (
     PVIndex,
     Rect,
+    RTreePNNQ,
     UncertainDataset,
     UncertainObject,
     synthetic_dataset,
@@ -224,3 +231,35 @@ def test_pv_candidates_equal_brute_force_after_churn(dims):
         assert sorted(got) == sorted(want)
         if dims == 2:  # the scalar filter rounds identically at d=2
             assert got == reference_pv_candidates(index, q)
+
+
+# ----------------------------------------------------------------------
+# The R-tree leaf filter
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("dims", [2, 3])
+def test_rtree_candidates_equal_scalar_loop_after_churn(dims):
+    from repro.storage import Pager
+
+    u_max = 300 if dims == 2 else 400
+    ds = synthetic_dataset(n=150, dims=dims, u_max=u_max, n_samples=2,
+                           seed=51 + dims)
+    extra = synthetic_dataset(n=60, dims=dims, u_max=u_max, n_samples=2,
+                              seed=61 + dims)
+    order = list(ds.ids)
+    for i, o in enumerate(extra):
+        ds.insert(UncertainObject(10_000 + i, o.region, o.instances, o.weights))
+        if i % 3 == 2:
+            ds.delete(order.pop(0))
+    pager = Pager()
+    index = RTreePNNQ.build(ds, max_entries=16, pager=pager)
+    brute = BruteForceRetriever(ds)
+    rng = np.random.default_rng(dims)
+    queries = ds.domain.sample_points(80, rng)
+    for q, want in zip(queries, brute.candidates_batch(queries)):
+        before = pager.stats.reads
+        got = index.candidates(q)
+        kernel_reads = pager.stats.reads - before
+        ref = reference_rtree_candidates(index, q)
+        assert kernel_reads > 0
+        assert pager.stats.reads - before == 2 * kernel_reads
+        assert sorted(got) == sorted(ref) == sorted(want)

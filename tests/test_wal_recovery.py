@@ -7,6 +7,7 @@ import pytest
 
 from repro.geometry import Rect
 from repro.storage import DurableStore, RecoveryError, WalError, WriteAheadLog
+from repro.storage.durable import MERGE_FACTOR
 from repro.storage.wal import (
     OP_DELETE,
     OP_INSERT,
@@ -14,11 +15,13 @@ from repro.storage.wal import (
     encode_insert,
 )
 from repro.uncertain import (
-    UncertainDataset,
+    InstanceStore,
     UncertainObject,
+    attach_file,
     synthetic_dataset,
     uniform_pdf,
 )
+from repro.uncertain.store import encode_tail, image_nbytes, scan_tail
 
 
 def small_dataset(n=10, seed=3):
@@ -282,3 +285,161 @@ class TestMutationListeners:
         with pytest.raises(ValueError, match="last object"):
             ds.delete(ds.ids[0])
         assert len(calls) == 1  # only the one applied delete was logged
+
+
+class TestSnapshotTail:
+    """Checkpoints append tail records to ``snapshot.bin``."""
+
+    def _store(self, tmp_path, dataset):
+        store = DurableStore(tmp_path / "db")
+        store.initialize(dataset)
+        store.attach(dataset)
+        return store
+
+    @staticmethod
+    def _assert_same(recovered, live):
+        assert recovered.epoch == live.epoch
+        assert recovered.ids == live.ids
+        for oid in live.ids:
+            assert np.array_equal(recovered[oid].instances, live[oid].instances)
+            assert np.array_equal(recovered[oid].weights, live[oid].weights)
+            assert np.array_equal(recovered[oid].region.lo, live[oid].region.lo)
+            assert np.array_equal(recovered[oid].region.hi, live[oid].region.hi)
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_tail_recovers_earlier_records_plus_wal(
+        self, tmp_path, damage
+    ):
+        ds = small_dataset()
+        store = self._store(tmp_path, ds)
+        ds.insert(make_object(100, seed=5))
+        ds.delete(ds.ids[0])
+        store.checkpoint()  # first tail record, intact
+        snap_path = tmp_path / "db" / "snapshot.bin"
+        intact = snap_path.stat().st_size
+        ds.insert(make_object(101, seed=6))
+        ds.delete(ds.ids[1])
+        # The crash tears the second record before the WAL reset, so
+        # the WAL still holds both of its mutations.
+        wal_bytes = (tmp_path / "db" / "wal.log").read_bytes()
+        store.checkpoint()
+        store.close()
+        (tmp_path / "db" / "wal.log").write_bytes(wal_bytes)
+        data = bytearray(snap_path.read_bytes())
+        if damage == "truncate":
+            data = data[: (intact + len(data)) // 2]
+        else:
+            data[len(data) - 9] ^= 0x01  # one bit of the last record
+        snap_path.write_bytes(bytes(data))
+
+        store2 = DurableStore(tmp_path / "db")
+        recovered = store2.recover()
+        self._assert_same(recovered, ds)
+        # Recovery truncated the damage before mapping the file...
+        assert snap_path.stat().st_size == intact
+        # ...so the next checkpoint appends cleanly behind record one.
+        store2.attach(recovered)
+        recovered.insert(make_object(102, seed=7))
+        store2.checkpoint()
+        store2.close()
+        offsets, valid, damaged = scan_tail(snap_path)
+        assert len(offsets) == 2 and not damaged
+        assert valid == snap_path.stat().st_size
+        self._assert_same(DurableStore(tmp_path / "db").recover(), recovered)
+
+    def test_reinserted_oid_goes_last_and_cancelled_insert_vanishes(
+        self, tmp_path
+    ):
+        ds = small_dataset()
+        store = self._store(tmp_path, ds)
+        store.checkpoint()
+        victim = ds.ids[2]
+        ds.delete(victim)
+        ds.insert(make_object(100, seed=5))
+        ds.insert(make_object(victim, seed=6))  # same oid, new pdf
+        ds.insert(make_object(101, seed=7))
+        ds.delete(101)  # inserted and deleted again: cancels out
+        store.checkpoint()
+        store.close()
+        assert ds.ids[-2:] == [100, victim]
+
+        snap_path = tmp_path / "db" / "snapshot.bin"
+        offsets, _valid, damaged = scan_tail(snap_path)
+        assert len(offsets) == 1 and not damaged
+        snap = attach_file(snap_path)
+        record = snap.tail(offsets[0])
+        assert (record.epoch_from, record.epoch_to) == (0, ds.epoch)
+        assert record.deleted == [victim]
+        assert [o.oid for o in record.objects] == [100, victim]
+        snap.close()
+        self._assert_same(DurableStore(tmp_path / "db").recover(), ds)
+
+    def test_epoch_chain_break_raises(self, tmp_path):
+        ds = small_dataset()
+        store = self._store(tmp_path, ds)
+        ds.insert(make_object(100, seed=5))
+        store.checkpoint()
+        store.close()
+        # A record that claims to start two epochs after the first
+        # one ends cannot follow it.
+        obj = make_object(101, seed=6)
+        with open(tmp_path / "db" / "snapshot.bin", "ab") as fh:
+            fh.write(encode_tail(3, 4, [], [obj], ds.domain))
+        with pytest.raises(RecoveryError, match="starts at epoch 3"):
+            DurableStore(tmp_path / "db").recover()
+
+    def test_delete_heavy_sequence_merges_exactly_once(
+        self, tmp_path, monkeypatch
+    ):
+        ds = small_dataset(n=40)
+        store = self._store(tmp_path, ds)
+        exports = []
+        real_export = InstanceStore.export_file
+
+        def counting_export(self, path):
+            exports.append(path)
+            return real_export(self, path)
+
+        monkeypatch.setattr(InstanceStore, "export_file", counting_export)
+        snap_path = tmp_path / "db" / "snapshot.bin"
+        sizes = [snap_path.stat().st_size]
+        fresh = []
+        for _ in range(12):
+            ds.delete(ds.ids[0])
+            ds.delete(ds.ids[-1])
+            store.checkpoint()
+            sizes.append(snap_path.stat().st_size)
+            rows = sum(o.n_instances for o in ds)
+            fresh.append(image_nbytes(len(ds), rows, ds.dims))
+        assert len(exports) == 1
+        merged = next(i for i in range(12) if sizes[i + 1] < sizes[i])
+        # The merge came at the first checkpoint whose append would
+        # have passed MERGE_FACTOR x a fresh export...
+        for i in range(merged):
+            assert sizes[i + 1] <= MERGE_FACTOR * fresh[i]
+        assert sizes[merged + 1] == fresh[merged]
+        grown = sizes[merged] + (sizes[1] - sizes[0])
+        assert grown > MERGE_FACTOR * fresh[merged]
+        # ...and left a plain base image plus the later tail records.
+        offsets, _valid, _damaged = scan_tail(snap_path)
+        assert len(offsets) == 12 - merged - 1
+        store.close()
+        self._assert_same(DurableStore(tmp_path / "db").recover(), ds)
+
+    @pytest.mark.parametrize("n", [200, 4000])
+    def test_checkpoint_growth_follows_the_inserts_not_n(self, tmp_path, n):
+        ds = small_dataset(n=n)
+        store = self._store(tmp_path, ds)
+        snap_path = tmp_path / "db" / "snapshot.bin"
+        before = snap_path.stat().st_size
+        k, m, d = 5, 4, ds.dims
+        for i in range(k):
+            ds.insert(make_object(1_000_000 + i, seed=i))
+        store.checkpoint()
+        store.close()
+        # Per object: oid, offset, region corners, weights, instances.
+        per_object = 8 + 8 + 2 * d * 8 + m * 8 + m * d * 8
+        # Per record: frame (length, CRC, pad), eight header words,
+        # the leading zero offset and the domain corners.
+        header = 16 + 8 * 8 + 8 + 2 * d * 8
+        assert snap_path.stat().st_size - before == k * per_object + header
