@@ -83,6 +83,9 @@ LOCK_HIERARCHY: dict[str, int] = {
     # Fault-plan trigger counters — hooks fire under the store lock,
     # so the plan lock must rank below (inside) it.
     "faults.plan_lock": 90,
+    # One-time build of the compiled SE loop (a leaf: SE runs under
+    # index builds and mutations, and nothing is taken inside it).
+    "se.kernel_build": 95,
 }
 
 #: Source-file → ``{attribute name: hierarchy name}`` for the static

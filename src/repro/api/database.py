@@ -33,6 +33,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from ..analysis.locks import make_lock, make_rlock
+from ..core import se as _se
 from ..core import (
     ExpectedNNEngine,
     GroupNNEngine,
@@ -870,7 +871,9 @@ class Database:
         """A structured snapshot of the session's live state.
 
         Covers the dataset (size, dims, epoch), which index handles
-        are built, durability and serving status, and — when standing
+        are built, which Shrink-and-Expand loop PV-index builds and
+        maintenance run on (``"se_kernel"``: ``"c"`` or ``"numpy"``),
+        durability and serving status, and — when standing
         subscriptions exist — their live counts and per-subscription
         emit/suppress counters.
         """
@@ -892,6 +895,7 @@ class Database:
                 "available": sorted(self._handles),
                 "built": list(built),
             },
+            "se_kernel": _se.kernel_name(),
             "durable": self.durable,
             "degraded_mode": bool(
                 durable is not None and durable.read_only

@@ -27,12 +27,35 @@ starts: after a *deletion* the cell can only grow (Lemma 9), so the old
 UBR becomes the new lower bound ``l(o)``; after an *insertion* the cell
 can only shrink, so the old UBR becomes the new upper bound ``h(o)``.
 
-Objects are independent, so SE runs many of them in lockstep: one
-padded ``(objects, C-set, d)`` tensor, one batched emptiness test per
-(dimension, direction) step over the objects still running.  A whole
-build or an update's affected set thus costs about as many numpy calls
-as one object.  Every object's sequence of decisions is exactly the
-one-object loop's, so the UBRs are too.
+Objects are independent, so :meth:`ShrinkExpand.refine_many` packs
+many of them into padded ``(objects, C-set, d)`` tensors and hands the
+whole batch to one row loop.  There are two, with identical results:
+
+* **The compiled loop** (``se_kernel.c``, built and loaded by
+  :mod:`repro.core.sekernel`) runs every row to its stopping point in
+  one C call: the per-sweep cull of candidates that dominate no point
+  of ``h(o)``, then each (dimension, direction) step with the staged
+  emptiness test (whole-region margins, center/corner witnesses,
+  ``m_max`` slices along the longest side).  It is bit-identical to the
+  numpy loop because it performs the same IEEE operations in the same
+  order: ``mid = (h + l) / 2.0``, ``a_mid = (lo + hi) * 0.5``, margins
+  summed over d left to right as ``_sum_dims`` does (numpy's pairwise
+  sum from d = 8), witness distances in the two-lane order of numpy's
+  float64 ``einsum``, ``linspace``'s slice edges including its
+  ``step == 0`` branch, and the first longest side; it is compiled with
+  ``-O2 -fno-fast-math -ffp-contract=off`` and no ``-march``.
+* **The numpy loop** (:func:`refine_rows_numpy`) runs the rows in
+  lockstep, one batched emptiness test per step over the rows still
+  running.  It is the fallback and the compiled loop's test oracle.
+
+The compiled loop is built on the first SE call of each process (about
+0.15-0.4 s of gcc, once) into a temporary directory that is removed
+right after loading.  When that fails (no compiler, ``CC`` naming one
+that fails, an unwritable temporary directory, a ``noexec`` mount),
+SE runs the numpy loop; :func:`kernel_name` and
+``Database.describe()["se_kernel"]`` say which one is in use.  Either
+way every object's sequence of decisions is exactly the one-object
+loop's, so the UBRs are too.
 """
 
 from __future__ import annotations
@@ -50,9 +73,17 @@ from ..geometry.domination import (
     margin_extrema,
 )
 from ..uncertain import UncertainDataset, UncertainObject
+from . import sekernel
 from .cset import CSet, CSetStrategy, IncrementalSelection
 
-__all__ = ["SEConfig", "SEStats", "SEResult", "ShrinkExpand"]
+__all__ = [
+    "SEConfig",
+    "SEStats",
+    "SEResult",
+    "ShrinkExpand",
+    "kernel_name",
+    "refine_rows_numpy",
+]
 
 #: Upper bound on the elements of the largest temporary of one lockstep
 #: batch (about 2 MB of float64).  Objects are batched until
@@ -60,6 +91,104 @@ __all__ = ["SEConfig", "SEStats", "SEResult", "ShrinkExpand"]
 #: keeps a whole-dataset build from materialising every C-set's
 #: partition grid at once.
 CHUNK_ELEMENTS = 1 << 18
+
+
+def refine_rows_numpy(
+    b_lo: np.ndarray,
+    b_hi: np.ndarray,
+    h_lo: np.ndarray,
+    h_hi: np.ndarray,
+    l_lo: np.ndarray,
+    l_hi: np.ndarray,
+    a_lo: np.ndarray,
+    a_hi: np.ndarray,
+    valid: np.ndarray,
+    delta: float,
+    m_max: int,
+) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Algorithm 1 for every row of the packed tensors, in lockstep.
+
+    Row ``i`` refines object region ``[b_lo[i], b_hi[i]]`` with upper
+    bound ``h`` and lower bound ``l`` (``(K, d)``, updated in place to
+    the final bounds) against its padded C-set ``a_lo[i], a_hi[i]``
+    (``(K, N, d)``, real entries where ``valid[i]``).  Returns each
+    row's sweep count and the totals of emptiness tests, shrinks and
+    expands.  The compiled loop (:func:`repro.core.sekernel.refine_rows`)
+    computes exactly the same; this is its fallback and its oracle.
+    """
+    k, d = b_lo.shape
+    out_h_lo, out_h_hi, out_l_lo, out_l_hi = h_lo, h_hi, l_lo, l_hi
+    iterations = np.zeros(k, dtype=np.int64)
+    rows = np.arange(k)  # the original index of each running row
+    tests = shrinks = expands = 0
+
+    while len(rows):
+        gap = np.maximum(
+            (l_lo - h_lo).max(axis=1), (h_hi - l_hi).max(axis=1)
+        )
+        go = (gap >= delta) & (gap > 0)
+        if not go.all():
+            done = rows[~go]
+            out_h_lo[done] = h_lo[~go]
+            out_h_hi[done] = h_hi[~go]
+            out_l_lo[done] = l_lo[~go]
+            out_l_hi[done] = l_hi[~go]
+            if not go.any():
+                break
+            rows = rows[go]
+            h_lo, h_hi, l_lo, l_hi = h_lo[go], h_hi[go], l_lo[go], l_hi[go]
+            b_lo, b_hi = b_lo[go], b_hi[go]
+            a_lo, a_hi, valid = a_lo[go], a_hi[go], valid[go]
+        iterations[rows] += 1
+
+        _, mins = margin_extrema(
+            a_lo, a_hi, b_lo[:, None, :], b_hi[:, None, :],
+            h_lo[:, None, :], h_hi[:, None, :], want_min=True,
+        )
+        live = valid & (mins < 0.0)
+        if (live != valid).any():
+            a_lo, a_hi, valid = compact_candidates(live, a_lo, a_hi)
+
+        for j in range(d):
+            for low in (True, False):
+                if low:
+                    need = l_lo[:, j] - h_lo[:, j] >= delta
+                    mid = (h_lo[:, j] + l_lo[:, j]) / 2.0
+                else:
+                    need = h_hi[:, j] - l_hi[:, j] >= delta
+                    mid = (h_hi[:, j] + l_hi[:, j]) / 2.0
+                sel = np.flatnonzero(need)
+                if not len(sel):
+                    continue
+                # The slab between the plane and h(o)'s face.
+                slab_lo, slab_hi = h_lo[sel], h_hi[sel]
+                (slab_hi if low else slab_lo)[:, j] = mid[sel]
+                hit, _ = intersects_nondominated_batch(
+                    slab_lo, slab_hi, a_lo[sel], a_hi[sel], valid[sel],
+                    b_lo[sel], b_hi[sel], m_max,
+                )
+                shrink, expand = sel[~hit], sel[hit]
+                if low:
+                    h_lo[shrink, j] = mid[shrink]
+                    l_lo[expand, j] = mid[expand]
+                else:
+                    h_hi[shrink, j] = mid[shrink]
+                    l_hi[expand, j] = mid[expand]
+                tests += len(sel)
+                shrinks += len(shrink)
+                expands += len(expand)
+    return iterations, (tests, shrinks, expands)
+
+
+#: The two implementations of the row loop, by :func:`kernel_name`.
+ROW_KERNELS = {"c": sekernel.refine_rows, "numpy": refine_rows_numpy}
+
+
+def kernel_name() -> str:
+    """Which row loop SE runs in this process: ``"c"`` when the
+    compiled loop built and loaded (see :mod:`repro.core.sekernel`),
+    otherwise ``"numpy"``."""
+    return "c" if sekernel.load() is not None else "numpy"
 
 
 @dataclass(frozen=True)
@@ -256,13 +385,10 @@ class ShrinkExpand:
         if k == 0:
             return []
         d = objs[0].region.dims
-        delta = self.config.delta
-        m_max = self.config.m_max
-
-        b_lo = np.array([o.region.lo for o in objs])
-        b_hi = np.array([o.region.hi for o in objs])
-        h_lo = np.array([u.lo for u in uppers])
-        h_hi = np.array([u.hi for u in uppers])
+        b_lo = np.array([o.region.lo for o in objs], dtype=np.float64)
+        b_hi = np.array([o.region.hi for o in objs], dtype=np.float64)
+        h_lo = np.array([u.lo for u in uppers], dtype=np.float64)
+        h_hi = np.array([u.hi for u in uppers], dtype=np.float64)
         l_lo = np.clip(np.array([lw.lo for lw in lowers]), h_lo, h_hi)
         l_hi = np.clip(np.array([lw.hi for lw in lowers]), h_lo, h_hi)
         sizes = np.array([len(c) for c in csets])
@@ -274,78 +400,19 @@ class ShrinkExpand:
             a_hi[i, : len(c)] = c.his
         valid = np.arange(n) < sizes[:, None]
 
-        out_h_lo = np.empty((k, d))
-        out_h_hi = np.empty((k, d))
-        out_l_lo = np.empty((k, d))
-        out_l_hi = np.empty((k, d))
-        iterations = np.zeros(k, dtype=np.int64)
-        rows = np.arange(k)  # the original index of each running row
-        tests = shrinks = expands = 0
-
-        while True:
-            gap = np.maximum(
-                (l_lo - h_lo).max(axis=1), (h_hi - l_hi).max(axis=1)
-            )
-            go = (gap >= delta) & (gap > 0)
-            if not go.all():
-                done = rows[~go]
-                out_h_lo[done] = h_lo[~go]
-                out_h_hi[done] = h_hi[~go]
-                out_l_lo[done] = l_lo[~go]
-                out_l_hi[done] = l_hi[~go]
-                if not go.any():
-                    break
-                rows = rows[go]
-                h_lo, h_hi, l_lo, l_hi = h_lo[go], h_hi[go], l_lo[go], l_hi[go]
-                b_lo, b_hi = b_lo[go], b_hi[go]
-                a_lo, a_hi, valid = a_lo[go], a_hi[go], valid[go]
-            iterations[rows] += 1
-
-            _, mins = margin_extrema(
-                a_lo, a_hi, b_lo[:, None, :], b_hi[:, None, :],
-                h_lo[:, None, :], h_hi[:, None, :], want_min=True,
-            )
-            live = valid & (mins < 0.0)
-            if (live != valid).any():
-                a_lo, a_hi, valid = compact_candidates(live, a_lo, a_hi)
-
-            for j in range(d):
-                for low in (True, False):
-                    if low:
-                        need = l_lo[:, j] - h_lo[:, j] >= delta
-                        mid = (h_lo[:, j] + l_lo[:, j]) / 2.0
-                    else:
-                        need = h_hi[:, j] - l_hi[:, j] >= delta
-                        mid = (h_hi[:, j] + l_hi[:, j]) / 2.0
-                    sel = np.flatnonzero(need)
-                    if not len(sel):
-                        continue
-                    # The slab between the plane and h(o)'s face.
-                    slab_lo, slab_hi = h_lo[sel], h_hi[sel]
-                    (slab_hi if low else slab_lo)[:, j] = mid[sel]
-                    hit, _ = intersects_nondominated_batch(
-                        slab_lo, slab_hi, a_lo[sel], a_hi[sel], valid[sel],
-                        b_lo[sel], b_hi[sel], m_max,
-                    )
-                    shrink, expand = sel[~hit], sel[hit]
-                    if low:
-                        h_lo[shrink, j] = mid[shrink]
-                        l_lo[expand, j] = mid[expand]
-                    else:
-                        h_hi[shrink, j] = mid[shrink]
-                        l_hi[expand, j] = mid[expand]
-                    tests += len(sel)
-                    shrinks += len(shrink)
-                    expands += len(expand)
-
+        refine_rows = ROW_KERNELS[kernel_name()]
+        iterations, (tests, shrinks, expands) = refine_rows(
+            b_lo, b_hi, h_lo, h_hi, l_lo, l_hi, a_lo, a_hi, valid,
+            self.config.delta, self.config.m_max,
+        )
         self.stats.iterations += int(iterations.sum())
         self.stats.emptiness_tests += tests
         self.stats.shrinks += shrinks
         self.stats.expands += expands
         return [
             SEResult(
-                ubr=Rect(out_h_lo[i], out_h_hi[i]),
-                lower=Rect(out_l_lo[i], out_l_hi[i]),
+                ubr=Rect(h_lo[i], h_hi[i]),
+                lower=Rect(l_lo[i], l_hi[i]),
                 iterations=int(iterations[i]),
                 cset_size=len(csets[i]),
             )

@@ -17,11 +17,14 @@ A durable database directory holds exactly two files:
 
 The contract:
 
-* **Log before apply.**  :meth:`attach` registers a mutation listener
-  that appends (and, under ``fsync="always"``, syncs) the WAL record
-  *before* the in-memory mutation commits.  A WAL append that fails
-  aborts the mutation, so memory never runs ahead of the log.  The
-  listener also remembers the mutation for the next checkpoint.
+* **Log last, before apply.**  :meth:`attach` installs the dataset's
+  mutation log, which appends (and, under ``fsync="always"``, syncs)
+  the WAL record after every mutation listener has run and *before*
+  the in-memory mutation commits.  A listener that vetoes aborts the
+  mutation before anything is logged, and a WAL append that fails
+  aborts it too, so the log holds exactly the committed mutations and
+  memory never runs ahead of it.  The log also remembers the mutation
+  for the next checkpoint.
 * **Recover = base + tail + contiguous replay.**  :meth:`recover` maps
   the base image zero-copy, applies every intact tail record in order
   (drop its deleted oids, append its objects, which reproduces the
@@ -55,7 +58,7 @@ The contract:
 from __future__ import annotations
 
 import os
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 try:  # POSIX only; single-writer locking degrades gracefully without
     import fcntl
@@ -82,6 +85,8 @@ from .wal import (
     encode_insert,
 )
 
+_T = TypeVar("_T")
+
 __all__ = [
     "DurableStore",
     "RecoveryError",
@@ -101,6 +106,21 @@ MERGE_FACTOR = 2
 
 #: One logged mutation: ``(epoch, op, object)``.
 _Event = tuple[int, str, UncertainObject]
+
+
+def _last_per_epoch(
+    entries: Iterable[_T], epoch: Callable[[_T], int]
+) -> dict[int, _T]:
+    """The last entry logged at each epoch, in epoch order.
+
+    Logs written before the WAL record became the last step of a
+    mutation can hold an aborted mutation's record followed by the
+    committed one that reused its epoch; the later one is the truth.
+    """
+    last: dict[int, _T] = {}
+    for entry in entries:
+        last[epoch(entry)] = entry
+    return last
 
 
 class _Image(NamedTuple):
@@ -182,7 +202,6 @@ class DurableStore:
         self.on_wal_error = on_wal_error
         self._wal: WriteAheadLog | None = None
         self._dataset: UncertainDataset | None = None
-        self._listener: Callable | None = None
         self._dir_fd: int | None = None  # flock holder (single writer)
         self._closed = False
         self._read_only = False
@@ -190,7 +209,7 @@ class DurableStore:
         #: or :meth:`recover`; ``None`` makes the next checkpoint merge.
         self._image: _Image | None = None
         #: Mutations logged since the last checkpoint (appended by the
-        #: listener under the dataset's mutation lock).
+        #: mutation log under the dataset's mutation lock).
         self._events: list[_Event] = []
         #: Serializes checkpoint against checkpoint *and* close: a
         #: ``Database.close()`` racing an in-flight checkpoint (e.g.
@@ -329,7 +348,7 @@ class DurableStore:
         """Apply WAL records onto a snapshot-recovered dataset; returns
         the applied mutations (the next checkpoint's tail)."""
         applied: list[_Event] = []
-        for rec in records:
+        for rec in _last_per_epoch(records, lambda r: r.epoch).values():
             if rec.epoch <= dataset.epoch:
                 continue  # already in the snapshot: replay is idempotent
             if rec.epoch != dataset.epoch + 1:
@@ -358,7 +377,8 @@ class DurableStore:
         """Start logging ``dataset``'s mutations into the WAL.
 
         Opens the WAL for appending (truncating any torn tail left by a
-        crash) and registers the write-ahead listener.  The dataset's
+        crash) and installs the dataset's mutation log, which runs after
+        every mutation listener.  The dataset's
         epoch must already reflect every intact WAL record — i.e. it
         came from :meth:`recover` or was just checkpointed.
         """
@@ -390,8 +410,8 @@ class DurableStore:
                 self._events.append((epoch, op, obj))
             except OSError as exc:
                 # The append healed the log back to the last record
-                # boundary; the listener fires pre-apply, so raising
-                # here aborts the mutation with memory untouched.
+                # boundary; the log runs pre-apply, so raising here
+                # aborts the mutation with memory untouched.
                 if self.on_wal_error == "read_only":
                     self._read_only = True
                     raise StoreReadOnly(
@@ -402,9 +422,8 @@ class DurableStore:
                     ) from exc
                 raise
 
-        dataset.add_mutation_listener(_on_mutation)
+        dataset.set_mutation_log(_on_mutation)
         self._dataset = dataset
-        self._listener = _on_mutation
 
     def checkpoint(self) -> int:
         """Make the snapshot reproduce the live epoch, then truncate the
@@ -480,21 +499,19 @@ class DurableStore:
         the objects to append in ids order (oid -> object).  The delta
         is ``None`` when the logged mutations do not reproduce the
         dataset — a committed epoch was never logged, or the counts or
-        objects disagree — and the checkpoint then merges.  Only the
-        last mutation logged at each epoch up to the live one counts:
-        a listener after the WAL's may still abort a mutation, and its
-        epoch is then reused by the next one.
+        objects disagree — and the checkpoint then merges.  Epochs
+        follow :meth:`_replay`'s rule: the last record at each wins.
         """
         epoch, image = dataset.epoch, self._image
         if image is None:
             return epoch, None
-        committed = {e: (op, obj) for e, op, obj in self._events}
+        committed = _last_per_epoch(self._events, lambda ev: ev[0])
         deleted: dict[int, UncertainObject] = {}
         inserted: dict[int, UncertainObject] = {}
         for e in range(image.epoch + 1, epoch + 1):
             if e not in committed:
                 return epoch, None
-            op, obj = committed[e]
+            _, op, obj = committed[e]
             if op == "insert":
                 inserted[obj.oid] = obj
             elif inserted.pop(obj.oid, None) is None:

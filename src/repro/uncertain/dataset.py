@@ -19,7 +19,7 @@ Mutation is observable through two mechanisms:
 from __future__ import annotations
 
 import threading
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -109,6 +109,7 @@ class UncertainDataset:
         self._store: InstanceStore | None = None
         self._store_lock = make_lock("dataset.store_lock")
         self._listeners: list = []
+        self._log: Callable[[str, UncertainObject, int], None] | None = None
 
     # ------------------------------------------------------------------
     # Container protocol
@@ -293,12 +294,14 @@ class UncertainDataset:
         """Register ``listener(op, obj, epoch)`` on every mutation.
 
         Fired *before* the state change, inside the mutation lock, with
-        the epoch the mutation will commit at — write-ahead discipline:
-        a listener that raises (e.g. a WAL that cannot append) aborts
-        the mutation with the dataset untouched, so the in-memory state
-        never runs ahead of what a durable log has accepted.  ``op`` is
+        the epoch the mutation will commit at: a listener that raises
+        aborts the mutation with the dataset untouched (and, since
+        listeners run before the mutation log, with nothing logged).
+        ``op`` is
         ``"insert"`` or ``"delete"``; ``obj`` is the full object either
         way (the one being added, or the one about to be removed).
+        Listeners run in registration order, all before the mutation
+        log (:meth:`set_mutation_log`).
         """
         self._listeners.append(listener)
 
@@ -308,6 +311,20 @@ class UncertainDataset:
             self._listeners.remove(listener)
         except ValueError:
             pass
+
+    def set_mutation_log(
+        self, log: Callable[[str, UncertainObject, int], None]
+    ) -> None:
+        """Install the durable log: ``log(op, obj, epoch)`` runs on every
+        mutation after every listener, still before the state change.
+
+        It is the last step that can abort a mutation, so a record it
+        accepts always commits; a listener that vetoes does so before
+        anything is logged.  A dataset has at most one log.
+        """
+        if self._log is not None:
+            raise RuntimeError("dataset already has a mutation log")
+        self._log = log
 
     def mutation_lock(self):
         """The lock every mutation and its listeners run under.
@@ -321,6 +338,8 @@ class UncertainDataset:
     def _notify(self, op: str, obj: UncertainObject, epoch: int) -> None:
         for listener in self._listeners:
             listener(op, obj, epoch)
+        if self._log is not None:
+            self._log(op, obj, epoch)
 
     def insert(self, obj: UncertainObject) -> None:
         """Add ``obj``; its id must be fresh and region inside the domain."""

@@ -300,6 +300,17 @@ class TestSurface:
         executed = getattr(db, kind)(query).plan
         assert db.explain(kind).params == executed.params
 
+    def test_describe_names_the_se_kernel(self, db, monkeypatch):
+        """describe() says which SE loop PV builds and maintenance run
+        on: the compiled one when it built in this process."""
+        import repro.core.se as se_module
+        from repro.core import sekernel
+
+        built = sekernel.load() is not None
+        assert db.describe()["se_kernel"] == ("c" if built else "numpy")
+        monkeypatch.setattr(se_module, "kernel_name", lambda: "numpy")
+        assert db.describe()["se_kernel"] == "numpy"
+
     def test_repr(self, db):
         text = repr(db)
         assert "Database(" in text and "epoch=0" in text

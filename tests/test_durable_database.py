@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import time
@@ -17,6 +18,8 @@ from _durability_workload import (
     reference_database,
 )
 from repro.api import Database
+from repro.geometry import Rect
+from repro.uncertain import UncertainObject, uniform_pdf
 from repro.storage import DurableStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -125,6 +128,96 @@ class TestOpenLifecycle:
 
 
 @pytest.mark.slow
+class Veto:
+    """A mutation listener that raises while armed."""
+
+    def __init__(self):
+        self.armed = False
+
+    def __call__(self, op, obj, epoch):
+        if self.armed:
+            raise RuntimeError(f"vetoed {op} of {obj.oid} at {epoch}")
+
+
+def new_object(oid, seed):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(500.0, 9_000.0, size=2)
+    region = Rect(lo, lo + 60.0)
+    instances, weights = uniform_pdf(region, 4, rng)
+    return UncertainObject(oid, region, instances, weights)
+
+
+def assert_same_dataset(got, want):
+    assert got.epoch == want.epoch
+    assert got.ids == want.ids
+    for oid in want.ids:
+        assert np.array_equal(got[oid].instances, want[oid].instances)
+        assert np.array_equal(got[oid].weights, want[oid].weights)
+
+
+class TestVetoingListener:
+    """A listener that vetoes aborts the mutation before the WAL logs
+    it, so a crash image recovers exactly what committed."""
+
+    def test_vetoed_insert_is_not_replayed(self, tmp_path):
+        path = str(tmp_path / "db")
+        db = Database.open(path, dataset=base_dataset())
+        veto = Veto()
+        db.dataset.add_mutation_listener(veto)
+        vetoed, committed = new_object(100, seed=1), new_object(101, seed=2)
+        veto.armed = True
+        with pytest.raises(RuntimeError, match="vetoed"):
+            db.insert(vetoed)
+        veto.armed = False
+        db.insert(committed)
+        assert db.epoch == 1 and 101 in db.dataset
+        copy = str(tmp_path / "copy")
+        shutil.copytree(path, copy)  # a crash image: db is still open
+        recovered = Database.open(copy)
+        try:
+            assert recovered.epoch == 1
+            assert 101 in recovered.dataset and 100 not in recovered.dataset
+            assert_same_dataset(recovered.dataset, db.dataset)
+        finally:
+            recovered.close()
+            db.close()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_recovery_matches_live_with_random_vetoes(self, tmp_path, seed):
+        """Vetoes armed at seeded random points of a mutation sequence,
+        each followed by a different mutation that commits at the same
+        epoch, a trailing veto, and a checkpoint somewhere in between."""
+        rng = np.random.default_rng(seed)
+        steps = 30
+        vetoed = set(rng.choice(steps, size=8, replace=False).tolist())
+        checkpoint_at = int(rng.integers(steps))
+        path = str(tmp_path / "db")
+        db = Database.open(path, dataset=base_dataset(), fsync="off")
+        veto = Veto()
+        db.dataset.add_mutation_listener(veto)
+        for i in range(steps):
+            if i in vetoed:
+                veto.armed = True
+                with pytest.raises(RuntimeError, match="vetoed"):
+                    apply_mutation(db, 500 + i)
+                veto.armed = False
+            apply_mutation(db, i)
+            if i == checkpoint_at:
+                db.checkpoint()
+        veto.armed = True
+        with pytest.raises(RuntimeError, match="vetoed"):
+            apply_mutation(db, 999)
+        assert db.epoch == steps
+        copy = str(tmp_path / "copy")
+        shutil.copytree(path, copy)
+        recovered = Database.open(copy)
+        try:
+            assert_same_dataset(recovered.dataset, db.dataset)
+        finally:
+            recovered.close()
+            db.close()
+
+
 class TestKillAndRecover:
     """SIGKILL the mutating process at arbitrary epochs; recovery must
     produce bit-identical answers to an uninterrupted in-memory run of

@@ -287,6 +287,50 @@ class TestMutationListeners:
         assert len(calls) == 1  # only the one applied delete was logged
 
 
+    def test_durable_log_runs_after_every_listener(self, tmp_path):
+        """A listener added after attach still runs before the WAL
+        append, so its veto leaves nothing logged."""
+        ds = small_dataset()
+        store = DurableStore(tmp_path / "db")
+        store.initialize(ds)
+        store.attach(ds)
+        order = []
+
+        def veto(op, obj, epoch):
+            order.append("listener")
+            raise RuntimeError("veto")
+
+        ds.add_mutation_listener(veto)
+        with pytest.raises(RuntimeError):
+            ds.insert(make_object(100, seed=5))
+        assert order == ["listener"]
+        assert WriteAheadLog.scan(store.wal_path)[0] == []
+        with pytest.raises(RuntimeError, match="already has"):
+            ds.set_mutation_log(lambda *a: None)
+        store.close()
+
+    def test_replay_keeps_the_last_record_per_epoch(self, tmp_path):
+        """A log written while an aborted mutation could still be
+        logged holds two records at one epoch: the later one
+        committed, and replay applies it."""
+        ds = small_dataset()
+        store = DurableStore(tmp_path / "db")
+        store.initialize(ds)
+        store.close()
+        wal = WriteAheadLog(store.wal_path)
+        wal.append(1, OP_INSERT, encode_insert(make_object(100, seed=5)))
+        wal.append(1, OP_INSERT, encode_insert(make_object(101, seed=6)))
+        wal.append(2, OP_DELETE, encode_delete(101))
+        wal.append(2, OP_DELETE, encode_delete(ds.ids[0]))
+        wal.close()
+        reopened = DurableStore(tmp_path / "db")
+        recovered = reopened.recover()
+        reopened.close()
+        assert recovered.epoch == 2
+        assert 100 not in recovered and 101 in recovered
+        assert ds.ids[0] not in recovered
+
+
 class TestSnapshotTail:
     """Checkpoints append tail records to ``snapshot.bin``."""
 
