@@ -1,11 +1,11 @@
-"""Scale-out serving: shared-memory process pool vs thread workers.
+"""Scale-out serving: process pool vs thread workers.
 
 M concurrent sessions issue a clustered PNNQ workload against a large
 dataset through ``db.serve()`` twice per worker count — once with the
 thread tier (brute-force Step 1, parallelism limited by the GIL) and
-once with the process tier (``mode="process"``: workers attach the
-packed instance store over ``multiprocessing.shared_memory`` and run
-sharded scatter-gather Step 1, pruning MBR-dominated shards before
+once with the process tier (``mode="process"``: workers memory-map
+one packed image of the instance store, kept in ``/dev/shm`` where the
+platform has it, and run sharded scatter-gather Step 1, pruning MBR-dominated shards before
 touching a single instance).  Queries are jittered object centers:
 every query is distinct, so coalescing dedup and the result cache
 (disabled anyway) cannot help either tier and the comparison isolates
@@ -91,7 +91,7 @@ def run_tier(params: dict, mode: str, workers: int):
 
     The warm-up burst is large enough to scatter one coalesced group
     across every pool worker, so per-worker lazy initialisation
-    (shared-segment attach, octree shard layout build) happens off the
+    (image attach, octree shard layout build) happens off the
     clock — the measurement is steady-state serving only.
     """
     db = make_db(params["n_objects"], params["n_samples"])
@@ -209,14 +209,14 @@ def test_service_scaleout(profile, record_figure):
 
     result = FigureResult(
         figure="BENCH service scaleout",
-        title="Thread workers vs shared-memory process pool (PNNQ)",
+        title="Thread workers vs process pool (PNNQ)",
         columns=(
             "workers", "thread_qps", "process_qps", "speedup",
             "shards", "dispatched", "pruned",
         ),
         notes=(
             "clustered jittered-center workload, result cache off; "
-            "thread tier = brute Step 1, process tier = shm attach + "
+            "thread tier = brute Step 1, process tier = image attach + "
             f"sharded scatter-gather; cpus={os.cpu_count()}."
         ),
     )

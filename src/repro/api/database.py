@@ -965,14 +965,15 @@ class Database:
         sessions — they submit into the same scheduler and block on
         the future, so they obey the same consistency contract.
 
-        ``mode="process"`` selects the shared-memory
+        ``mode="process"`` selects the
         :class:`~repro.service.ProcessPoolServer` instead: the packed
-        instance store is exported into shared memory, worker
-        *processes* attach it zero-copy, and group execution scatters
-        over the pool with sharded Step-1 pruning — same client
-        surface, same epoch-barrier consistency contract, no GIL on
-        the compute path.  Process-mode extras (``n_shards``,
-        ``stall_timeout``) are forwarded too.
+        instance store is written as one image file (in ``/dev/shm``
+        where the platform has it), worker *processes* map it
+        zero-copy, and group execution scatters over the pool with
+        sharded Step-1 pruning — same client surface, same
+        epoch-barrier consistency contract, no GIL on the compute
+        path.  The process-mode extra ``stall_timeout`` is forwarded
+        too.
 
         Idempotent while a server is live: a second ``serve()`` call
         returns the running server (``options`` must then be empty).
@@ -1053,7 +1054,7 @@ class Database:
                 # The server detaches itself (sets ``_server`` to
                 # None) once fully stopped.  A process-pool server's
                 # close additionally terminates its workers and
-                # unlinks the shared segment even when a worker died
+                # removes its image directory even when a worker died
                 # mid-query.
                 server.close()
         finally:

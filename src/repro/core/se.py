@@ -210,8 +210,10 @@ class SEConfig:
     m_max: int = 10
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        # Δ must be positive: at 0 the stop rule waits for ``h == l``,
+        # which bisection cannot reach once they are adjacent floats.
+        if not self.delta > 0:
+            raise ValueError("delta must be > 0")
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
 

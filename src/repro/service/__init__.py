@@ -20,7 +20,7 @@ dataset epoch (tagged on its future and result).
 
 ``db.serve(workers=N, mode="process")`` swaps in the
 :class:`ProcessPoolServer` — same surface and contract, but groups
-execute in worker *processes* over a shared-memory export of the
+execute in worker *processes* that memory-map one packed image of the
 instance store, with Step 1 sharded and scatter-gathered
 (:mod:`repro.service.shards`) and mutations applied as pool-wide
 re-attach fences (:mod:`repro.service.procpool`).

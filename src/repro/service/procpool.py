@@ -1,12 +1,16 @@
 """The process-pool serving tier: GIL-free scatter-gather execution.
 
 :class:`ProcessPoolServer` swaps the thread server's in-process group
-execution for a pool of **worker processes** attached to one
-shared-memory export of the packed instance store
-(:meth:`~repro.uncertain.store.InstanceStore.export_shared`).  Queries
-cross the pipe as small ``(kind, queries, params, forced)`` tuples —
-the instance data itself is never pickled; workers map the segment by
-name and rebuild a zero-copy dataset over it at spawn.
+execution for a pool of **worker processes** that memory-map one
+packed image of the instance store
+(:meth:`~repro.uncertain.store.InstanceStore.export_file`, the format
+durable snapshots use).  Each pool writes its images into one private
+directory — under ``/dev/shm`` when the platform has it, so the image
+lives in memory, else in the default temp directory.  Queries cross
+the pipe as small ``(kind, queries, params, forced)`` tuples and the
+image as a ``(path, epoch)`` pair — the instance data itself is never
+pickled; workers map the file and rebuild a zero-copy dataset over it
+on their first query.
 
 Execution model
 ---------------
@@ -25,10 +29,11 @@ Execution model
   back on each result's :class:`~repro.engine.ExecutionStats`.
 * A mutation barrier becomes a **pool-wide fence**: the scheduler
   already guarantees exclusivity (no reads in flight), so the parent
-  applies the mutation, exports a fresh segment at the new epoch,
+  applies the mutation, exports a fresh image at the new epoch,
   broadcasts a re-attach to every worker, awaits their acks, and only
-  then unlinks the old segment.  Workers refuse stale attaches by the
-  epoch stamp inside the segment header.
+  then removes the old image file.  Workers refuse stale attaches by
+  the epoch stamp inside the image header.
+
 Fault tolerance
 ---------------
 
@@ -44,9 +49,10 @@ Fault tolerance
   trips :class:`WorkerStalled` and is killed + respawned.
 * The re-attach **fence is re-entrant and leak-free**: a worker that
   dies mid-fence (before or instead of acking) is retired and
-  respawned at the new segment; the old segment is unlinked on every
-  path, so no ``/dev/shm`` segment outlives :meth:`close`
-  (regression tests in ``tests/test_procpool.py``).
+  respawned at the new image; the old image is removed on every path,
+  and :meth:`ProcessPoolServer.close` removes the live image and the
+  pool's directory, so no image outlives the pool (regression tests
+  in ``tests/test_procpool.py``).
 * Deterministic chaos tests drive all of the above through
   :mod:`repro.testing.faults`: pass ``fault_plan=`` to ship a seeded
   :class:`~repro.testing.faults.FaultPlan` to every spawned worker
@@ -55,6 +61,9 @@ Fault tolerance
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 import threading
 import time
 from collections import deque
@@ -63,7 +72,6 @@ from typing import Any, Sequence
 from ..storage.durable import StoreReadOnly
 from .scheduler import MutationWork
 from .server import UncertainDBServer
-from .shards import DEFAULT_SHARDS
 
 __all__ = ["ProcessPoolServer", "WorkerDied", "WorkerStalled"]
 
@@ -73,7 +81,7 @@ SCATTER_MIN = 8
 #: Re-dispatch attempts for a chunk whose worker died or stalled,
 #: before the inline-execution fallback.
 MAX_CHUNK_RETRIES = 2
-#: Attempts at a worker's shared-segment attach before the chunk fails.
+#: Attempts at a worker's image attach before the chunk fails.
 ATTACH_RETRIES = 3
 
 
@@ -93,23 +101,38 @@ class WorkerStalled(WorkerDied):
 # ----------------------------------------------------------------------
 # Worker process side (top-level: must be picklable for spawn)
 # ----------------------------------------------------------------------
+def _map_image(image: tuple[str, int]) -> Any:
+    """Map a pool image, refusing one whose header epoch differs from
+    the ``(path, epoch)`` handle's (a stale handle or a reused path)."""
+    from ..uncertain.store import attach_file
+
+    path, epoch = image
+    snapshot = attach_file(path)
+    if snapshot.epoch != epoch:
+        found = snapshot.epoch
+        snapshot.close()
+        raise ValueError(
+            f"stale image attach: handle describes epoch {epoch} but "
+            f"{path!r} holds epoch {found}"
+        )
+    return snapshot
+
+
 class _WorkerState:
-    """Everything one worker process rebuilds from the shared segment.
+    """Everything one worker process rebuilds from the mapped image.
 
     Constructed lazily on the first ``run`` after (re-)attach: the
-    zero-copy dataset over the segment, one engine per
+    zero-copy dataset over the image, one engine per
     ``(kind, retriever)`` pair, and a single
     :class:`~repro.service.shards.ShardLayout` shared by every sharded
-    retriever.  Torn down (and the segment detached) on each fence.
+    retriever.  Torn down (and the image unmapped) on each fence.
     """
 
-    def __init__(self, handle: Any, config: dict[str, Any]) -> None:
-        from ..uncertain.store import attach_shared
-
-        self.view = attach_shared(handle)
-        self.dataset: Any = self.view.build_dataset()
+    def __init__(self, image: tuple[str, int], config: dict[str, Any]) -> None:
+        self.snapshot = _map_image(image)
+        self.dataset: Any = self.snapshot.build_dataset()
         self.config = config
-        self.epoch = int(handle.epoch)
+        self.epoch = self.snapshot.epoch
         self._engines: dict[tuple[str, str], Any] = {}
         self._layout: Any = None
 
@@ -135,7 +158,7 @@ class _WorkerState:
             return (
                 "sharded",
                 "process pool: sharded scatter-gather Step 1 over the "
-                "shared segment (MBR-dominated shards pruned)",
+                "mapped image (MBR-dominated shards pruned)",
                 kind,
             )
         if forced == "brute":
@@ -162,9 +185,7 @@ class _WorkerState:
         retriever: ShardedRetriever | None = None
         if rname == "sharded":
             if self._layout is None:
-                self._layout = ShardLayout.build(
-                    self.dataset, self.config.get("n_shards", DEFAULT_SHARDS)
-                )
+                self._layout = ShardLayout.build(self.dataset)
             retriever = ShardedRetriever(self.dataset, layout=self._layout)
         engine = _KINDS[kind](
             self.dataset,
@@ -216,26 +237,33 @@ class _WorkerState:
             for answer in answers
         ]
 
+    @property
+    def n_shards(self) -> int | None:
+        """Shards in the layout, once a sharded query has built it."""
+        return None if self._layout is None else len(self._layout)
+
     def close(self) -> None:
-        """Drop every segment reference, then detach the mapping."""
+        """Drop every reference into the image, unmapping it."""
         import gc
 
         self._engines.clear()
         self._layout = None
         self.dataset = None
+        self.snapshot.close()
+        # Engines and objects form reference cycles that keep views
+        # of the mapping alive; collect them so it is released now.
         gc.collect()
-        self.view.close()
 
 
 def _attach_state(
-    handle: Any, config: dict[str, Any], wid: int
+    image: tuple[str, int], config: dict[str, Any], wid: int
 ) -> _WorkerState:
-    """Build the worker state, retrying a failed segment attach.
+    """Build the worker state, retrying a failed image attach.
 
-    A shared-memory attach can fail transiently (the name resolves a
-    beat after export on some platforms); retry with backoff before
-    giving up — the final raise fails only the current chunk, which
-    the parent then re-dispatches elsewhere.
+    An attach can fail with an ``OSError`` (the file cannot be opened
+    or mapped); retry with backoff before giving up — the final raise
+    fails only the current chunk, which the parent then re-dispatches
+    elsewhere.
     """
     from ..testing import faults as _faults
 
@@ -243,7 +271,7 @@ def _attach_state(
     for attempt in range(ATTACH_RETRIES):
         try:
             _faults.check("proc.attach", wid=wid)
-            return _WorkerState(handle, config)
+            return _WorkerState(image, config)
         except OSError:
             if attempt == ATTACH_RETRIES - 1:
                 raise
@@ -253,13 +281,13 @@ def _attach_state(
 
 
 def _worker_main(
-    conn: Any, handle: Any, config: dict[str, Any], wid: int = 0
+    conn: Any, image: tuple[str, int], config: dict[str, Any], wid: int = 0
 ) -> None:
     """One worker process: attach, serve the pipe, detach.
 
     The state is built lazily on the first ``run`` so a worker that
     only ever sees fences (or an immediate ``stop``) never maps the
-    segment at all.  The main loop is the pipe's only sender.
+    image at all.  The main loop is the pipe's only sender.
     """
     from ..testing import faults as _faults
 
@@ -277,12 +305,12 @@ def _worker_main(
             if op == "stop":
                 return
             if op == "fence":
-                _, epoch, new_handle = msg
+                _, epoch, new_image = msg
                 _faults.check("proc.fence", wid=wid)
                 if state is not None:
                     state.close()
                     state = None
-                handle = new_handle
+                image = new_image
                 conn.send(("fenced", int(epoch)))
                 continue
             # ("run", kind, queries, params, forced)
@@ -290,10 +318,11 @@ def _worker_main(
             try:
                 _faults.check("proc.chunk", wid=wid, kind=kind)
                 if state is None:
-                    state = _attach_state(handle, config, wid)
+                    state = _attach_state(image, config, wid)
                 t0 = time.perf_counter()
                 results = state.execute(kind, queries, params, forced)
                 elapsed = time.perf_counter() - t0
+                n_shards = state.n_shards
             except BaseException as error:  # noqa: BLE001 - shipped back
                 try:
                     conn.send(("err", error))
@@ -305,7 +334,7 @@ def _worker_main(
                         ))
                     )
             else:
-                conn.send(("ok", results, elapsed))
+                conn.send(("ok", results, elapsed, n_shards))
     except KeyboardInterrupt:
         pass
     finally:
@@ -329,14 +358,14 @@ class _WorkerProc:
 
     __slots__ = ("wid", "proc", "conn")
 
-    def __init__(self, ctx: Any, wid: int, handle: Any,
+    def __init__(self, ctx: Any, wid: int, image: tuple[str, int],
                  config: dict[str, Any]) -> None:
         self.wid = wid
         parent_conn, child_conn = ctx.Pipe()
         self.conn = parent_conn
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn, handle, config, wid),
+            args=(child_conn, image, config, wid),
             name=f"uncertaindb-proc-{wid}",
             daemon=True,
         )
@@ -360,25 +389,25 @@ class _WorkerProc:
 
 
 class ProcessPoolServer(UncertainDBServer):
-    """Shared-memory process pool behind the coalescing scheduler.
+    """Process pool over a mapped store image, behind the coalescing
+    scheduler.
 
     Drop-in replacement for the thread server, selected via
     ``db.serve(mode="process")``.  Same client surface, same
     consistency contract (epoch barriers, bit-identical answers) —
-    but group execution happens in worker processes over a
-    shared-memory export of the instance store, with Step 1 sharded
-    and scatter-gathered (see the module docstring).
+    but group execution happens in worker processes that map one
+    packed image of the instance store, with Step 1 sharded
+    (:data:`~repro.service.shards.DEFAULT_SHARDS` target shards) and
+    scatter-gathered (see the module docstring).
 
     Parameters
     ----------
     db:
         The database to serve.  Its packed instance store is exported
-        into shared memory up front; mutations re-export (pool fence).
+        as an image file up front; mutations re-export (pool fence).
     workers:
         Process count — and dispatcher-thread count: each thread
         drives one or more idle processes per group.
-    n_shards:
-        Target shard count for the workers' scatter-gather Step 1.
     stall_timeout:
         Total seconds one dispatched chunk (or fence ack) may take
         before the worker is presumed hung, killed, and its chunk
@@ -395,7 +424,6 @@ class ProcessPoolServer(UncertainDBServer):
         *,
         workers: int = 2,
         max_group: int = 256,
-        n_shards: int = DEFAULT_SHARDS,
         stall_timeout: float = 30.0,
         fault_plan: Any = None,
     ) -> None:
@@ -408,14 +436,14 @@ class ProcessPoolServer(UncertainDBServer):
         # Spawn, not fork: the parent runs scheduler/dispatcher threads
         # and forking a threaded process is undefined behavior-adjacent.
         self._ctx = multiprocessing.get_context("spawn")
+        self.db = db
         self._config = {
             "result_cache_size": db.result_cache_size,
-            "n_shards": n_shards,
             "fault_plan": fault_plan,
         }
-        self._n_shards = n_shards
+        #: Shards in the workers' layout, as the last answer reported.
+        self._n_shards: int | None = None
         self._stall_timeout = float(stall_timeout)
-        self._handle = db.dataset.instance_store().export_shared()
         self._proc_cv = threading.Condition()
         self._procs: list[_WorkerProc] = []
         self._idle: deque[_WorkerProc] = deque()
@@ -428,7 +456,13 @@ class ProcessPoolServer(UncertainDBServer):
         self._shards_pruned = 0
         self._retries = 0
         self._worker_restarts = 0
+        # Images live in memory where the platform offers a tmpfs.
+        self._dir = tempfile.mkdtemp(
+            prefix="repro_pool_",
+            dir="/dev/shm" if os.path.isdir("/dev/shm") else None,
+        )
         try:
+            self._image = self._export()
             for _ in range(workers):
                 self._spawn_locked()
         except BaseException:
@@ -441,11 +475,18 @@ class ProcessPoolServer(UncertainDBServer):
     # ------------------------------------------------------------------
     # Pool plumbing
     # ------------------------------------------------------------------
+    def _export(self) -> tuple[str, int]:
+        """Write the dataset's packed image at its current epoch into
+        the pool directory; the ``(path, epoch)`` handle workers map."""
+        store = self.db.dataset.instance_store()
+        path = os.path.join(self._dir, f"image-{store.epoch}.bin")
+        return path, store.export_file(path)
+
     def _spawn_locked(self) -> _WorkerProc:
-        """Start one worker at the current segment (caller may hold no
+        """Start one worker at the current image (caller may hold no
         lock during __init__; afterwards call under ``_proc_cv``)."""
         proc = _WorkerProc(
-            self._ctx, self._next_wid, self._handle, self._config
+            self._ctx, self._next_wid, self._image, self._config
         )
         self._next_wid += 1
         self._busy_per_worker.setdefault(proc.wid, 0.0)
@@ -474,7 +515,7 @@ class ProcessPoolServer(UncertainDBServer):
 
     def _retire(self, dead: _WorkerProc) -> None:
         """Drop a dead worker and respawn a replacement at the live
-        segment; the pool goes *broken* only when respawning fails."""
+        image; the pool goes *broken* only when respawning fails."""
         dead.stop(timeout=0.1)
         with self._proc_cv:
             if dead in self._idle:
@@ -578,7 +619,7 @@ class ProcessPoolServer(UncertainDBServer):
             if response[0] == "err":
                 error = error or response[1]
                 continue
-            _, results, busy = response
+            _, results, busy, n_shards = response
             merged.extend(results)
             if results:
                 shards_d += results[0].stats.shards_dispatched
@@ -587,6 +628,8 @@ class ProcessPoolServer(UncertainDBServer):
                 self._busy_per_worker[proc.wid] = (
                     self._busy_per_worker.get(proc.wid, 0.0) + busy
                 )
+                if n_shards is not None:
+                    self._n_shards = n_shards
         with self._proc_cv:
             self._groups_scattered += 1 if len(procs) > 1 else 0
             self._chunks_dispatched += len(procs)
@@ -639,7 +682,7 @@ class ProcessPoolServer(UncertainDBServer):
             if response is not None:
                 if response[0] == "err":
                     raise response[1]
-                _, results, busy = response
+                _, results, busy, n_shards = response
                 self._note_recovery(retries=attempts)
                 if results:
                     # One shared stats delta per chunk: stamping the
@@ -650,6 +693,8 @@ class ProcessPoolServer(UncertainDBServer):
                     self._busy_per_worker[proc.wid] = (
                         self._busy_per_worker.get(proc.wid, 0.0) + busy
                     )
+                    if n_shards is not None:
+                        self._n_shards = n_shards
                 return results
             time.sleep(delay)
             delay *= 2
@@ -695,31 +740,32 @@ class ProcessPoolServer(UncertainDBServer):
         work.future._set_result(value, self.db.dataset.epoch)
 
     def _fence(self) -> None:
-        """Export the post-mutation segment and re-attach every worker.
+        """Export the post-mutation image and re-attach every worker.
 
         Runs with the scheduler's mutation exclusivity: no reads are
         in flight, so every live worker sits in the idle deque and its
-        pipe is free.  The old segment is unlinked only after every
-        ack (or death verdict), so a live worker never observes a
-        vanished mapping.
+        pipe is free.  The old image file is removed only after every
+        ack (or death verdict), so no worker is left pointing at a
+        path that is gone; a worker that still maps the old image
+        keeps its pages until it unmaps them (POSIX semantics).
 
         **Re-entrant and leak-free under worker failure.**  Every
         per-worker problem — send error, EOF, a bad or missing ack,
         a stall past the budget — marks that worker dead: it is
-        retired and respawned at the *new* segment (the new handle is
+        retired and respawned at the *new* image (the new handle is
         installed first, so respawns attach the new epoch).  The old
-        segment is unlinked on all of those paths; only a failure to
-        export the new segment at all aborts the fence.  A fence that
+        image is removed on all of those paths; only a failure to
+        export the new image at all aborts the fence.  A fence that
         lost workers therefore leaves the pool healed and consistent
-        rather than broken with an orphaned ``/dev/shm`` segment.
+        rather than broken with an orphaned image file.
 
         A durable database checkpoints first: the mutation that
         forced this fence is already WAL-logged, and folding it into
-        the snapshot here means the on-disk image workers could be
-        re-seeded from is never behind the segment they map.  A
-        checkpoint that fails (injected I/O error, or a store already
-        degraded to read-only) loses nothing — recovery replays the
-        WAL — so the fence proceeds instead of failing the mutation.
+        the snapshot here means the on-disk snapshot is never behind
+        the image workers map.  A checkpoint that fails (injected I/O
+        error, or a store already degraded to read-only) loses nothing
+        — recovery replays the WAL — so the fence proceeds instead of
+        failing the mutation.
         """
         durable = getattr(self.db, "_durable", None)
         if durable is not None:
@@ -727,13 +773,13 @@ class ProcessPoolServer(UncertainDBServer):
                 durable.checkpoint()
             except (OSError, StoreReadOnly):
                 pass
-        old = self._handle
-        new = self.db.dataset.instance_store().export_shared()
-        epoch = int(new.epoch)
+        old = self._image
+        new = self._export()
+        epoch = new[1]
         # Install before broadcasting: any worker respawned from here
         # on (including replacements for fence casualties) attaches
-        # the new segment.
-        self._handle = new
+        # the new image.
+        self._image = new
         try:
             with self._proc_cv:
                 procs = list(self._procs)
@@ -757,10 +803,8 @@ class ProcessPoolServer(UncertainDBServer):
             for proc in dead:
                 self._retire(proc)
         finally:
-            try:
-                old.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
+            if old[0] != new[0]:
+                _remove(old[0])
 
     # ------------------------------------------------------------------
     # Observability
@@ -772,8 +816,8 @@ class ProcessPoolServer(UncertainDBServer):
                 "mode": "process",
                 "workers": len(self._procs),
                 "n_shards": self._n_shards,
-                "segment": self._handle.name,
-                "segment_epoch": self._handle.epoch,
+                "image": self._image[0],
+                "image_epoch": self._image[1],
                 "groups_scattered": self._groups_scattered,
                 "chunks_dispatched": self._chunks_dispatched,
                 "shards_dispatched": self._shards_dispatched,
@@ -802,9 +846,9 @@ class ProcessPoolServer(UncertainDBServer):
     # ------------------------------------------------------------------
     def close(self, timeout: float | None = None) -> None:
         """Drain, stop dispatcher threads, then always tear the pool
-        down — workers terminated and the segment unlinked even when a
-        worker died mid-query (the drain fails those futures with
-        :class:`WorkerDied`; teardown still runs)."""
+        down — workers terminated, the image and the pool directory
+        removed even when a worker died mid-query (the drain fails
+        those futures with :class:`WorkerDied`; teardown still runs)."""
         try:
             super().close(timeout)
         finally:
@@ -821,12 +865,9 @@ class ProcessPoolServer(UncertainDBServer):
                 proc.stop()
             except Exception:  # noqa: BLE001 - teardown must never raise
                 pass
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            try:
-                handle.unlink()
-            except OSError:
-                pass
+        # The live image (and any half-written one) sits in the pool
+        # directory, so removing the directory removes them too.
+        shutil.rmtree(self._dir, ignore_errors=True)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "serving"
@@ -837,6 +878,14 @@ class ProcessPoolServer(UncertainDBServer):
             f"shards={self._n_shards}, "
             f"pending={self.scheduler.pending()})"
         )
+
+
+def _remove(path: str) -> None:
+    """Remove an image file; one that is already gone is fine."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
 
 
 def _split(items: list[Any], parts: int) -> list[list[Any]]:

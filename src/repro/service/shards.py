@@ -107,43 +107,29 @@ class ShardLayout:
         cls,
         dataset: UncertainDataset,
         n_shards: int = DEFAULT_SHARDS,
-        method: str = "auto",
     ) -> "ShardLayout":
         """Partition ``dataset`` into roughly ``n_shards`` shards.
 
-        The octree splits into ``2^d`` children at a time, so the
-        spatial method can overshoot the target by a small factor;
-        the hash fallback produces exactly ``min(n_shards, n)``.
-
-        ``method="auto"`` tries the spatial octree split and falls
-        back to hashing object ids when the octree cannot separate
-        the data (all centers coincident, depth limit, or a dataset
-        smaller than the shard count); ``"octree"`` / ``"hash"``
-        force one strategy.
+        The spatial octree split comes first; it splits into ``2^d``
+        children at a time, so it can overshoot the target by a small
+        factor.  When the octree cannot separate the data (all centers
+        coincident, depth limit, or fewer than ``2 * n_shards``
+        objects), object ids are hashed instead, into at most
+        ``n_shards`` shards.
         """
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if method not in ("auto", "octree", "hash"):
-            raise ValueError(f"unknown shard method {method!r}")
         ids, los, his = dataset.packed_regions()
-        n = len(ids)
         groups: list[np.ndarray] | None = None
         used = "hash"
-        if method in ("auto", "octree") and n_shards > 1:
+        if n_shards > 1:
             groups = _octree_partition(dataset, ids, los, his, n_shards)
             if groups is not None:
                 used = "octree"
-            elif method == "octree":
-                raise ValueError(
-                    "octree partitioning degenerated on this dataset "
-                    "(coincident centers or too few objects); use "
-                    "method='auto' to allow the hash fallback"
-                )
         if groups is None:
-            buckets = np.asarray(ids, dtype=np.int64) % max(n_shards, 1)
+            buckets = np.asarray(ids, dtype=np.int64) % n_shards
             groups = [
-                np.nonzero(buckets == b)[0]
-                for b in range(max(n_shards, 1))
+                np.nonzero(buckets == b)[0] for b in range(n_shards)
             ]
             groups = [g for g in groups if g.size]
         shards = []

@@ -5,8 +5,8 @@ A durable database directory holds exactly two files:
 * ``snapshot.bin`` — a *base image* followed by zero or more *tail
   records*.  The base image is an :class:`~repro.uncertain.store.
   InstanceStore` image written by :meth:`~repro.uncertain.store.
-  InstanceStore.export_file` (the header layout the shared-memory
-  path stamps: magic, layout version, epoch, n, size, dims).  Each
+  InstanceStore.export_file` (the image the process pool's workers
+  also map: magic, layout version, epoch, n, size, dims).  Each
   tail record (:func:`~repro.uncertain.store.encode_tail`) carries the
   net change between two checkpoints — ``epoch_from``, ``epoch_to``,
   the oids deleted and the inserted objects' packed blocks — framed by

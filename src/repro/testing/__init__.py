@@ -5,7 +5,7 @@ The serving and storage stacks expose thin hook points
 :class:`~repro.testing.faults.FaultPlan` is armed.  Tests arm a seeded,
 trigger-counted plan and the stack under test starts failing exactly
 where the plan says: WAL appends raise ``EIO`` or tear mid-record,
-worker processes die or hang mid-chunk, shared-memory attaches fail.
+worker processes die or hang mid-chunk, image attaches fail.
 """
 
 from .faults import (

@@ -34,8 +34,8 @@ Sites wired into the stack (the chaos matrix):
                        before its fsync
 ``durable.wal_reset``  after a checkpoint's snapshot is durable (tail
                        fsynced or merge renamed), before the WAL reset
-``proc.attach``        in a worker, before attaching the shared
-                       segment (``fail`` — exercises attach retry)
+``proc.attach``        in a worker, before mapping the pool's store
+                       image (``fail`` — exercises attach retry)
 ``proc.chunk``         in a worker, before executing a dispatched
                        chunk (``kill`` / ``hang`` — exercises retry
                        and stall detection)
@@ -86,7 +86,7 @@ SITES: dict[str, str] = {
     "durable.checkpoint": "before a checkpoint folds, appends or merges",
     "durable.tail_append": "after a tail record is written, before fsync",
     "durable.wal_reset": "after a checkpoint is durable, before WAL reset",
-    "proc.attach": "worker-side, before attaching the shared segment",
+    "proc.attach": "worker-side, before mapping the pool's store image",
     "proc.chunk": "worker-side, before executing a dispatched chunk",
     "proc.fence": "worker-side, on receiving a re-attach fence",
 }

@@ -13,11 +13,9 @@ from .pdfs import gaussian_pdf, point_pdf, uniform_pdf
 from .store import (
     GatherBlock,
     InstanceStore,
+    MappedInstanceStore,
     MappedSnapshot,
-    SharedInstanceStore,
-    SharedStoreHandle,
     attach_file,
-    attach_shared,
 )
 
 __all__ = [
@@ -26,9 +24,7 @@ __all__ = [
     "check_index_in_sync",
     "InstanceStore",
     "GatherBlock",
-    "SharedInstanceStore",
-    "SharedStoreHandle",
-    "attach_shared",
+    "MappedInstanceStore",
     "MappedSnapshot",
     "attach_file",
     "uniform_pdf",

@@ -18,7 +18,6 @@ Mutation is observable through two mechanisms:
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -251,15 +250,15 @@ class UncertainDataset:
                     self._store = store
         return store
 
-    def adopt_shared_store(self, store: InstanceStore, *, epoch: int) -> None:
-        """Install an attached shared-memory store as this dataset's own.
+    def adopt_mapped_store(self, store: InstanceStore) -> None:
+        """Install a mapped read-only store as this dataset's own.
 
         The worker-process reconstruction path: a dataset rebuilt from
-        a shared segment adopts the :class:`~repro.uncertain.store.
-        SharedInstanceStore` over the same arrays instead of packing a
-        private copy, and takes on the segment's mutation ``epoch`` so
-        plans and results stamp exactly like the exporting parent.
-        Refused when a store already exists or the epochs disagree.
+        a mapped image adopts the :class:`~repro.uncertain.store.
+        MappedInstanceStore` over the same arrays instead of packing a
+        private copy, and takes on the image's mutation epoch so plans
+        and results stamp exactly like the exporting parent.  Refused
+        when a store already exists.
         """
         with self._store_lock:
             if self._store is not None:
@@ -267,12 +266,7 @@ class UncertainDataset:
                     "dataset already has an instance store; adopt is "
                     "only for freshly reconstructed worker datasets"
                 )
-            if store.epoch != epoch:
-                raise ValueError(
-                    f"shared store epoch {store.epoch} does not match "
-                    f"the adopting epoch {epoch}"
-                )
-            self._epoch = epoch
+            self._epoch = store.epoch
             store._dataset = self
             store._owned = True
             self._store = store

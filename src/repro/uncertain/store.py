@@ -24,7 +24,6 @@ Step-1 indexes follow.
 from __future__ import annotations
 
 import os
-import secrets
 import struct
 import zlib
 from dataclasses import dataclass
@@ -40,21 +39,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "GatherBlock",
     "InstanceStore",
+    "MappedInstanceStore",
     "MappedSnapshot",
-    "SharedInstanceStore",
-    "SharedStoreHandle",
     "TailRecord",
     "attach_file",
-    "attach_shared",
     "encode_tail",
     "image_nbytes",
     "scan_tail",
 ]
 
-#: First header word of every shared-store segment; an attach that
-#: does not find it is pointed at something that is not ours.
+#: First header word of every packed image; an attach that does not
+#: find it is pointed at something that is not ours.
 _SHM_MAGIC = 0x5245_5052_4F53_544F  # "REPROSTO"
-#: Bump when the packed segment layout changes; attaches refuse a
+#: Bump when the packed image layout changes; attaches refuse a
 #: mismatch instead of misreading bytes.  Version 2 snapshot files may
 #: carry tail records after the base image, which a version-1 reader
 #: would silently ignore.
@@ -301,94 +298,21 @@ class InstanceStore:
         )
 
     # ------------------------------------------------------------------
-    # Shared-memory export (the process-pool zero-copy path)
+    # Packed image export (snapshot files and the process pool)
     # ------------------------------------------------------------------
-    def export_shared(self) -> "SharedStoreHandle":
-        """Publish the packed dataset into a shared-memory segment.
-
-        One ``multiprocessing.shared_memory`` segment carries the whole
-        packed view of the dataset — ids, offsets, domain, region
-        corners, instance weights, and the ``(total_samples, d)``
-        instance matrix — so a worker process attaches by *name* and
-        maps every array zero-copy; no instance data is ever pickled.
-        The segment is stamped with the dataset epoch; attaching with a
-        handle minted for a different epoch is refused, so a worker can
-        never silently serve a stale snapshot.
-
-        The caller owns the segment: :meth:`SharedStoreHandle.unlink`
-        releases it once every worker has detached (workers only ever
-        close their mapping).
-        """
-        ds = self._dataset
-        if self.epoch != ds.epoch:  # pragma: no cover - owned stores
-            from .dataset import check_index_in_sync
-
-            check_index_in_sync(self.epoch, ds, "InstanceStore")
-        from multiprocessing import shared_memory
-
-        n, size, d = self._n, self._size, self.dims
-        layout = _segment_layout(n, size, d)
-        shm = shared_memory.SharedMemory(
-            create=True,
-            size=layout["total_bytes"],
-            name=f"repro_{os.getpid():x}_{secrets.token_hex(4)}",
-        )
-        try:
-            self._fill_segment(shm.buf)
-            # Drop our local mapping of the buffer; the handle names
-            # the segment, which lives until explicitly unlinked.
-            shm.close()
-        except BaseException:  # pragma: no cover - allocation failures
-            shm.close()
-            shm.unlink()
-            raise
-        return SharedStoreHandle(
-            name=shm.name, epoch=self.epoch, n=n, size=size, dims=d
-        )
-
-    def _fill_segment(self, buf) -> None:
-        """Stamp the packed dataset into a segment-layout buffer.
-
-        One writer for both export targets: the shared-memory segment
-        (:meth:`export_shared`) and the on-disk snapshot file
-        (:meth:`export_file`) carry byte-identical layouts, so the
-        attach paths share their validation too.
-        """
-        ds = self._dataset
-        ids, los, his = ds.packed_regions()
-        arrays = _segment_arrays(buf, self._n, self._size, self.dims)
-        arrays["header"][:] = (
-            _SHM_MAGIC,
-            _SHM_LAYOUT_VERSION,
-            self.epoch,
-            self._n,
-            self._size,
-            self.dims,
-            0,
-            0,
-        )
-        arrays["oids"][:] = ids
-        arrays["offsets"][:] = self.offsets
-        arrays["domain"][0] = ds.domain.lo
-        arrays["domain"][1] = ds.domain.hi
-        arrays["los"][:] = los
-        arrays["his"][:] = his
-        arrays["weights"][:] = self.weights
-        arrays["instances"][:] = self.instances
-
     def export_file(self, path: str | os.PathLike) -> int:
-        """Snapshot the packed dataset to ``path`` (the durable twin of
-        :meth:`export_shared`).
+        """Write the packed dataset to ``path`` as one image file.
 
-        The file carries the same header layout the shared-memory
-        export stamps — magic, layout version, epoch, n, size, dims —
-        followed by the same packed blocks, so :func:`attach_file`
-        memory-maps it zero-copy.  The write is atomic and durable:
-        bytes land in a temporary sibling which is fsynced, renamed
-        over ``path``, and the directory entry fsynced — a crash
-        mid-export leaves the previous snapshot intact.
+        The image is a header — magic, layout version, epoch, n, size,
+        dims — followed by the packed blocks (oids, offsets, domain,
+        region corners, weights, instances), so :func:`attach_file`
+        memory-maps it zero-copy.  Durable snapshots and the process
+        pool's per-epoch images are both written here.  The write is
+        atomic and durable: bytes land in a temporary sibling which is
+        fsynced, renamed over ``path``, and the directory entry fsynced
+        — a crash mid-export leaves the previous image intact.
 
-        Returns the dataset mutation epoch the snapshot captures.
+        Returns the dataset mutation epoch the image captures.
         """
         ds = self._dataset
         if self.epoch != ds.epoch:  # pragma: no cover - owned stores
@@ -403,7 +327,21 @@ class InstanceStore:
             shape=(layout["total_bytes"],),
         )
         try:
-            self._fill_segment(mm)
+            ids, los, his = ds.packed_regions()
+            arrays = _segment_arrays(mm, self._n, self._size, self.dims)
+            arrays["header"][:] = (
+                _SHM_MAGIC, _SHM_LAYOUT_VERSION, self.epoch,
+                self._n, self._size, self.dims, 0, 0,
+            )
+            arrays["oids"][:] = ids
+            arrays["offsets"][:] = self.offsets
+            arrays["domain"][0] = ds.domain.lo
+            arrays["domain"][1] = ds.domain.hi
+            arrays["los"][:] = los
+            arrays["his"][:] = his
+            arrays["weights"][:] = self.weights
+            arrays["instances"][:] = self.instances
+            del arrays  # the views pin the mapping; drop them with it
             mm.flush()
         finally:
             del mm
@@ -421,45 +359,8 @@ class InstanceStore:
         return self.epoch
 
 
-@dataclass(frozen=True)
-class SharedStoreHandle:
-    """A by-name reference to one exported shared-store segment.
-
-    Small and picklable — this is the only thing that crosses the
-    process boundary; the data stays in the segment.  ``epoch`` is the
-    dataset mutation epoch the segment snapshots (also stamped inside
-    the segment header; :func:`attach_shared` cross-checks the two).
-    """
-
-    name: str
-    epoch: int
-    n: int
-    size: int
-    dims: int
-
-    def unlink(self) -> None:
-        """Release the segment (owner side; idempotent)."""
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(name=self.name)
-        except FileNotFoundError:
-            # Already gone — still clear the creation-time tracker
-            # entry so exit-time cleanup does not warn about it.
-            _untrack_name(self.name)
-            return
-        shm.close()
-        try:
-            # ``unlink()`` also unregisters the name from the resource
-            # tracker, balancing the registration this re-open just
-            # made (the creation-time entry is the same set member).
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - racing unlink
-            pass
-
-
 def _segment_layout(n: int, size: int, d: int) -> dict:
-    """Byte offsets of each packed array inside a segment."""
+    """Byte offsets of each packed array inside an image."""
     offsets = {}
     cursor = 0
 
@@ -488,7 +389,7 @@ def image_nbytes(n: int, size: int, dims: int) -> int:
 
 
 def _segment_arrays(buf, n: int, size: int, d: int) -> dict:
-    """Numpy views over a segment buffer, keyed like the layout."""
+    """Numpy views over an image buffer, keyed like the layout."""
     layout = _segment_layout(n, size, d)
 
     def view(name: str, count: int, dtype, shape) -> np.ndarray:
@@ -526,200 +427,60 @@ def _build_objects(oids, offsets, los, his, instances, weights):
     ]
 
 
-def _untrack(shm) -> None:
-    """Unregister a segment from this process's resource tracker.
-
-    On POSIX (Python <= 3.12) every ``SharedMemory`` constructor call
-    registers the name — including plain attaches — and the tracker
-    unlinks everything it knows at process exit.  A worker that merely
-    attached must not take the parent's live segment down with it, so
-    attach (and the owner's unlink helper, which re-opens by name)
-    deregisters immediately.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    # Defensive: the tracker is private API and has moved before.
-    except Exception:  # pragma: no cover  # noqa: BLE001
-        pass
-
-
-def _untrack_name(name: str) -> None:
-    """Best-effort tracker cleanup for a segment known only by name."""
-    try:
-        from multiprocessing import resource_tracker
-
-        tracked = name if name.startswith("/") else "/" + name
-        resource_tracker.unregister(tracked, "shared_memory")
-    # Defensive: the tracker is private API and has moved before.
-    except Exception:  # pragma: no cover  # noqa: BLE001
-        pass
-
-
-class SharedInstanceStore(InstanceStore):
-    """A read-only :class:`InstanceStore` over an attached segment.
+class MappedInstanceStore(InstanceStore):
+    """A read-only :class:`InstanceStore` over a mapped image file.
 
     Serves :meth:`InstanceStore.gather` (and the packed-array views)
-    straight from shared memory.  Mutation is refused — worker
-    processes observe mutations through pool-wide fences that attach a
-    fresh segment, never by editing a live one.
+    straight from the mapping.  Mutation is refused — worker processes
+    observe mutations through pool-wide fences that map a fresh image,
+    never by editing a live one.
     """
 
-    def __init__(self, view: "SharedStoreView") -> None:
+    def __init__(self, snapshot: "MappedSnapshot") -> None:
         # Deliberately no super().__init__ — there is nothing to pack;
-        # every array is a read-only view into the attached segment.
-        self._view = view
-        self._dataset = None  # installed by UncertainDataset.adopt
+        # every array is a read-only view into the mapped image.
+        self._path = snapshot.path
+        self._dataset = None  # installed by adopt_mapped_store
         self._owned = True
-        self._n = view.handle.n
-        self._size = view.handle.size
-        self._instances = view.instances
-        self._weights = view.weights
-        self._offsets = view.offsets
-        self._oids = [int(oid) for oid in view.oids]
-        self._slot_of = {oid: slot for slot, oid in enumerate(self._oids)}
-        self.epoch = view.handle.epoch
-
-    @property
-    def dims(self) -> int:
-        return self._view.handle.dims
+        self._n = snapshot.n
+        self._size = snapshot.size
+        self._instances = snapshot.instances
+        self._weights = snapshot.weights
+        self._offsets = snapshot.offsets
+        self._oids = snapshot.oids.tolist()
+        self._slot_of = snapshot._slot_of
+        self.epoch = snapshot.epoch
 
     def apply_insert(self, obj: UncertainObject, epoch: int) -> None:
         raise RuntimeError(
-            "shared instance store is read-only; mutations reach "
+            "mapped instance store is read-only; mutations reach "
             "workers through a pool fence, not in place"
         )
 
     def apply_delete(self, oid: int, epoch: int) -> None:
         raise RuntimeError(
-            "shared instance store is read-only; mutations reach "
+            "mapped instance store is read-only; mutations reach "
             "workers through a pool fence, not in place"
         )
 
-    def close(self) -> None:
-        """Detach from the segment (drops every view)."""
-        self._view.close()
-
     def __repr__(self) -> str:
         return (
-            f"SharedInstanceStore(n={self._n}, total={self._size}, "
-            f"dims={self.dims}, epoch={self.epoch}, "
-            f"segment={self._view.handle.name!r})"
+            f"MappedInstanceStore(n={self._n}, total={self._size}, "
+            f"dims={self.dims}, epoch={self.epoch}, path={self._path!r})"
         )
-
-
-class SharedStoreView:
-    """An attached segment: read-only numpy views + the mapping."""
-
-    def __init__(self, handle: SharedStoreHandle, shm) -> None:
-        self.handle = handle
-        self._shm = shm
-        arrays = _segment_arrays(
-            shm.buf, handle.n, handle.size, handle.dims
-        )
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            setattr(self, name, arr)
-        self._closed = False
-
-    def close(self) -> None:
-        """Drop the views and unmap the segment (never unlinks)."""
-        if self._closed:
-            return
-        self._closed = True
-        for name in (
-            "header", "oids", "offsets", "domain",
-            "los", "his", "weights", "instances",
-        ):
-            if hasattr(self, name):
-                delattr(self, name)
-        try:
-            self._shm.close()
-        except BufferError:
-            # Reconstructed objects/engines form reference cycles that
-            # keep array views alive past the fence; collect and retry.
-            # A still-pinned mapping is merely deferred to process
-            # exit — the segment itself is the owner's to unlink.
-            import gc
-
-            gc.collect()
-            try:
-                self._shm.close()
-            except BufferError:  # pragma: no cover - views still live
-                pass
-
-    def build_dataset(self) -> "UncertainDataset":
-        """Reconstruct the dataset zero-copy from the shared arrays.
-
-        Every object's region corners, instances, and weights are
-        slices of the mapped segment (validated, never copied); the
-        dataset adopts a :class:`SharedInstanceStore` over the same
-        views and reports the segment's epoch, so engines built on it
-        plan and stamp results exactly like the parent at that epoch.
-        """
-        from ..geometry import Rect
-        from .dataset import UncertainDataset
-
-        objects = _build_objects(
-            self.oids, self.offsets, self.los, self.his,
-            self.instances, self.weights,
-        )
-        domain = Rect(self.domain[0], self.domain[1])
-        dataset = UncertainDataset(objects, domain=domain)
-        dataset.adopt_shared_store(
-            SharedInstanceStore(self), epoch=self.handle.epoch
-        )
-        return dataset
-
-
-def attach_shared(handle: SharedStoreHandle) -> SharedStoreView:
-    """Attach a worker-side view of an exported segment by name.
-
-    Refuses anything that is not a current shared-store segment: wrong
-    magic, unknown layout version, or an epoch stamp that differs from
-    the handle's (a stale handle naming a reused segment).  The view
-    is read-only; call :meth:`SharedStoreView.close` to detach.
-    """
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=handle.name)
-    _untrack(shm)
-    header = np.frombuffer(
-        shm.buf, dtype=np.int64, count=_SHM_HEADER_WORDS
-    )
-    magic, version, epoch, n, size, dims = (int(x) for x in header[:6])
-    if magic != _SHM_MAGIC or version != _SHM_LAYOUT_VERSION:
-        del header
-        shm.close()
-        raise ValueError(
-            f"segment {handle.name!r} is not a shared instance store "
-            f"(magic/layout mismatch)"
-        )
-    if (epoch, n, size, dims) != (
-        handle.epoch, handle.n, handle.size, handle.dims
-    ):
-        del header
-        shm.close()
-        raise ValueError(
-            f"stale shared-store attach: handle describes epoch "
-            f"{handle.epoch} ({handle.n} objects) but segment "
-            f"{handle.name!r} holds epoch {epoch} ({n} objects)"
-        )
-    del header
-    return SharedStoreView(handle, shm)
 
 
 class MappedSnapshot:
-    """A memory-mapped on-disk snapshot (see :meth:`InstanceStore.
+    """A memory-mapped image file (see :meth:`InstanceStore.
     export_file`): read-only numpy views over the packed blocks.
 
-    The durable twin of :class:`SharedStoreView` — same header, same
-    layout, but backed by a file instead of a shared-memory segment.
-    Objects built from it hold zero-copy views into the mapping, which
-    stays alive as long as any view references it (numpy base chain).
-    The attributes describe the base image; tail records appended
-    after it (:func:`encode_tail`) are read with :meth:`tail`.
+    The durable store opens its ``snapshot.bin`` this way, and each
+    process-pool worker its pool's current image.  Objects built from
+    it hold zero-copy views into the mapping, which stays alive as
+    long as any view references it (numpy base chain) — so the file
+    may be removed while mapped.  The attributes describe the base
+    image; tail records appended after it (:func:`encode_tail`) are
+    read with :meth:`tail`.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -764,6 +525,26 @@ class MappedSnapshot:
             self.oids, self.offsets, self.los, self.his,
             self.instances, self.weights,
         )
+
+    def build_dataset(self) -> "UncertainDataset":
+        """Reconstruct the base image's dataset zero-copy.
+
+        Every object's region corners, instances, and weights are
+        slices of the mapping (validated, never copied); the dataset
+        adopts a :class:`MappedInstanceStore` over the same views and
+        reports the image's epoch, so engines built on it plan and
+        stamp results exactly like the exporting process at that
+        epoch.
+        """
+        from ..geometry import Rect
+        from .dataset import UncertainDataset
+
+        dataset = UncertainDataset(
+            self.build_objects(),
+            domain=Rect(self.domain[0], self.domain[1]),
+        )
+        dataset.adopt_mapped_store(MappedInstanceStore(self))
+        return dataset
 
     def tail(self, offset: int) -> "TailRecord":
         """The tail record whose body starts at byte ``offset``.

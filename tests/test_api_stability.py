@@ -127,7 +127,7 @@ PINNED = {
     Planner.__init__: "(self, *, ema_alpha: 'float' = 0.4, "
     "replan_every: 'int' = 64) -> 'None'",
     ProcessPoolServer.__init__: "(self, db: 'Any', *, workers: 'int' = 2, "
-    "max_group: 'int' = 256, n_shards: 'int' = 8, "
+    "max_group: 'int' = 256, "
     "stall_timeout: 'float' = 30.0, fault_plan: 'Any' = None) -> 'None'",
 }
 

@@ -43,8 +43,9 @@ def assert_conservative(ds, oid, ubr, n=4000, seed=0):
 
 class TestSEConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SEConfig(delta=-1)
+        for delta in (-1, 0.0):
+            with pytest.raises(ValueError):
+                SEConfig(delta=delta)
         with pytest.raises(ValueError):
             SEConfig(m_max=0)
 

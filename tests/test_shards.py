@@ -10,12 +10,18 @@ was actually skipped, not just matched).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.engine.retrievers import BruteForceRetriever
 from repro.engine.stats import ExecutionStats
+from repro.geometry import Rect
 from repro.service.shards import ShardLayout, ShardedRetriever
-from repro.uncertain import clustered_dataset, synthetic_dataset
+from repro.uncertain import (
+    UncertainDataset,
+    UncertainObject,
+    clustered_dataset,
+    synthetic_dataset,
+    uniform_pdf,
+)
 
 
 def _datasets():
@@ -51,18 +57,30 @@ def test_octree_method_used_on_separable_data():
     assert len(layout) > 1
 
 
+def _coincident_dataset(n: int) -> UncertainDataset:
+    """Objects sharing one region: every center coincides, so the
+    octree cannot separate them."""
+    rng = np.random.default_rng(15)
+    region = Rect(np.array([400.0, 400.0]), np.array([600.0, 600.0]))
+    objects = []
+    for oid in range(n):
+        instances, weights = uniform_pdf(region, 4, rng)
+        objects.append(UncertainObject(oid, region, instances, weights))
+    return UncertainDataset(
+        objects, domain=Rect(np.zeros(2), np.full(2, 1000.0))
+    )
+
+
 def test_hash_fallback_on_tiny_dataset():
+    # Fewer than two objects per target shard, or centers the octree
+    # cannot separate: object ids are hashed instead.
     tiny = synthetic_dataset(n=6, dims=2, seed=4, n_samples=3)
-    layout = ShardLayout.build(tiny, 8)
-    assert layout.method == "hash"
-    positions = np.concatenate([s.positions for s in layout.shards])
-    assert len(set(positions.tolist())) == len(tiny)
-
-
-def test_forced_octree_raises_on_degenerate_data():
-    tiny = synthetic_dataset(n=6, dims=2, seed=4, n_samples=3)
-    with pytest.raises(ValueError, match="degenerated"):
-        ShardLayout.build(tiny, 8, method="octree")
+    for ds, n_shards in ((tiny, 8), (_coincident_dataset(60), 4)):
+        layout = ShardLayout.build(ds, n_shards)
+        assert layout.method == "hash"
+        assert len(layout) == min(n_shards, len(ds))
+        positions = np.concatenate([s.positions for s in layout.shards])
+        assert len(set(positions.tolist())) == len(ds)
 
 
 def test_single_shard_layout_is_valid():
@@ -93,16 +111,24 @@ def test_candidates_bit_identical_to_brute_force():
 
 
 def test_bit_identical_under_hash_layout():
+    # Fewer than two objects per target shard: the octree is skipped.
     ds = synthetic_dataset(n=40, dims=2, seed=5, n_samples=4)
+    layout = ShardLayout.build(ds, 32)
+    assert layout.method == "hash"
     rng = np.random.default_rng(12)
     queries = rng.uniform(ds.domain.lo, ds.domain.hi, size=(16, 2))
     brute = BruteForceRetriever(ds)
-    sharded = ShardedRetriever(
-        ds, layout=ShardLayout.build(ds, 4, method="hash")
-    )
+    sharded = ShardedRetriever(ds, layout=layout)
     assert sharded.candidates_batch(queries) == brute.candidates_batch(
         queries
     )
+    coincident = _coincident_dataset(60)
+    sharded = ShardedRetriever(
+        coincident, layout=ShardLayout.build(coincident, 4)
+    )
+    assert sharded.candidates_batch(queries) == BruteForceRetriever(
+        coincident
+    ).candidates_batch(queries)
 
 
 def test_queries_at_domain_corners_and_centers():
