@@ -293,18 +293,21 @@ class Database:
 
         When ``path`` already holds a database (``snapshot.bin``), the
         dataset is recovered — the snapshot is memory-mapped and the
-        write-ahead log replayed on top, restoring the exact mutation
-        epoch of the crashed or closed session; indexes rehydrate
-        lazily through the normal :class:`IndexHandle` machinery the
-        first time a plan selects them.  Otherwise ``dataset`` seeds a
-        fresh directory.
+        write-ahead log written since it replayed on top, restoring the
+        exact mutation epoch of the crashed or closed session.  A
+        directory whose snapshot has another layout version (written
+        before this release's format) is refused with ``ValueError``.
+        Indexes rehydrate lazily through the normal :class:`IndexHandle`
+        machinery the first time a plan selects them.  Otherwise
+        ``dataset`` seeds a fresh directory.
 
         From then on every :meth:`insert` / :meth:`delete` appends a
         checksummed WAL record *before* it applies (the mutation epoch
         is the log sequence number), so a SIGKILL at any moment loses
         nothing under ``fsync="always"`` and at most the unsynced tail
-        under ``fsync="off"``.  :meth:`checkpoint` folds the log into
-        the snapshot; :meth:`close` seals the directory.
+        under ``fsync="off"``.  :meth:`checkpoint` syncs the log (and
+        merges it into a fresh snapshot once it has grown past the
+        bound); :meth:`close` checkpoints and seals the directory.
 
         ``on_wal_error`` picks the WAL write-failure policy (see
         :class:`~repro.storage.DurableStore`): ``"fail_stop"`` re-raises
@@ -929,13 +932,13 @@ class Database:
         return self._durable is not None
 
     def checkpoint(self) -> int:
-        """Fold the write-ahead log into the snapshot.
+        """Make every mutation so far durable; returns the live epoch.
 
-        Appends the net change since the previous checkpoint to the
-        snapshot file (or rewrites it whole once appending would
-        double it; durable before the log is touched) and truncates
-        the WAL.  Returns the checkpointed epoch.  Only valid on a
-        database opened with :meth:`open`.
+        Fsyncs the write-ahead log, which holds every mutation since
+        the snapshot.  Once snapshot plus log exceed twice the size of
+        a fresh snapshot, it also merges: rewrites the snapshot from
+        the live store (durable before the log is touched) and resets
+        the log.  Only valid on a database opened with :meth:`open`.
 
         On a served database, callers should quiesce mutations first
         (the process-pool re-attach fence does this automatically);
@@ -1026,9 +1029,10 @@ class Database:
         Shuts down an attached server (draining queued queries),
         drops every built index handle and engine, and detaches the
         dataset's packed instance store.  A durable session first
-        checkpoints (so reopening skips WAL replay) and then seals its
-        store — later direct mutations of the dataset raise instead of
-        going unlogged.  Idempotent: double-close is a no-op.  The
+        checkpoints (syncing the WAL, which the next :meth:`open`
+        replays on top of the snapshot) and then seals its store —
+        later direct mutations of the dataset raise instead of going
+        unlogged.  Idempotent: double-close is a no-op.  The
         database object itself remains usable for queries — a later
         query lazily rebuilds what it needs — but ``serve()`` refuses
         after close.
@@ -1061,13 +1065,12 @@ class Database:
             with self._lock:
                 durable = self._durable
                 if durable is not None:
-                    # Checkpoint so the next open() maps the snapshot
-                    # and replays nothing; then seal the store.  A
-                    # failed checkpoint still closes — the WAL holds
-                    # everything the snapshot is missing.  A store
-                    # degraded to read-only refuses checkpoints (the
-                    # on-disk state is the last trustworthy one), so
-                    # skip straight to sealing it.
+                    # Checkpoint (sync the WAL, merge if it has grown);
+                    # then seal the store.  A failed checkpoint still
+                    # closes — the WAL holds everything the snapshot is
+                    # missing.  A store degraded to read-only refuses
+                    # checkpoints (the on-disk state is the last
+                    # trustworthy one), so skip straight to sealing it.
                     try:
                         if not durable.read_only:
                             durable.checkpoint()

@@ -111,8 +111,8 @@ class KNNEngine(BaseEngine):
         return self._run(query, {"k": k})
 
     def query_batch(self, queries, k: int = 1) -> list[KNNResult]:
-        """Many k-PNNs; the k-th-maxdist filter runs as one broadcasted
-        pass over all distinct queries."""
+        """Many k-PNNs; identical queries are answered once, and the
+        k-th-maxdist filter runs per distinct query."""
         if k < 1:
             raise ValueError("k must be >= 1")
         return self._run_batch(queries, {"k": k})
@@ -120,26 +120,6 @@ class KNNEngine(BaseEngine):
     # -- BaseEngine hooks ----------------------------------------------
     def _retrieve(self, q: np.ndarray, params: dict) -> list[int]:
         return self.candidates(q, params["k"])
-
-    def _retrieve_batch(
-        self, qs: list[np.ndarray], params: dict
-    ) -> list[list[int]]:
-        k = params["k"]
-        if k == 1 and self.has_index:
-            # The index path has no vectorized form.
-            return [self._retrieve(q, params) for q in qs]
-        ids, los, his = self.dataset.packed_regions()
-        if len(ids) <= k:
-            return [[int(i) for i in ids] for _ in qs]
-        Q = np.stack(qs)  # (b, d)
-        out: list[list[int]] = []
-        # Shared chunked kernel; only the bound differs from PNNQ
-        # (k-th smallest maxdist instead of the smallest).
-        for min_sq, max_sq in minmax_sq_chunks(Q, los, his):
-            kth_max = np.partition(max_sq, k - 1, axis=1)[:, k - 1]
-            keep = min_sq <= kth_max[:, None]
-            out.extend([int(i) for i in ids[row]] for row in keep)
-        return out
 
     def _compute(
         self, q: np.ndarray, ids: list[int], params: dict

@@ -21,8 +21,10 @@ discrete pdfs.  :class:`BaseEngine` owns that template once:
   when several threads share one engine;
 * a batched API — :meth:`BaseEngine.query_batch` — that deduplicates
   identical queries, runs Step 1 for the whole block through the
-  retriever's ``candidates_batch`` where it has one, and hands whole
-  candidate groups to vectorized Step-2 kernels;
+  retriever's ``candidates_batch`` where it has one (the sharded
+  retriever, whose shard pruning pays off per block) and otherwise one
+  query at a time, and hands whole candidate groups to vectorized
+  Step-2 kernels;
 * **epoch-aware invalidation** — every query entry point compares the
   dataset's mutation epoch against the epoch the engine last served at.
   On drift the result cache is flushed, and a retriever that

@@ -759,10 +759,10 @@ class ProcessPoolServer(UncertainDBServer):
         lost workers therefore leaves the pool healed and consistent
         rather than broken with an orphaned image file.
 
-        A durable database checkpoints first: the mutation that
-        forced this fence is already WAL-logged, and folding it into
-        the snapshot here means the on-disk snapshot is never behind
-        the image workers map.  A checkpoint that fails (injected I/O
+        A durable database checkpoints first: the mutation that forced
+        this fence is already WAL-logged, and the checkpoint syncs the
+        log (merging it into a fresh snapshot once it has grown) while
+        mutations are quiesced.  A checkpoint that fails (injected I/O
         error, or a store already degraded to read-only) loses nothing
         — recovery replays the WAL — so the fence proceeds instead of
         failing the mutation.

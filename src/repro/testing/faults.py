@@ -29,11 +29,9 @@ Sites wired into the stack (the chaos matrix):
                        the record then fails — the tear the recovery
                        scan must tolerate)
 ``wal.fsync``          between write and fsync (``eio``)
-``durable.checkpoint`` before a checkpoint folds, appends or merges
-``durable.tail_append`` after a checkpoint's tail record is written,
-                       before its fsync
-``durable.wal_reset``  after a checkpoint's snapshot is durable (tail
-                       fsynced or merge renamed), before the WAL reset
+``durable.checkpoint`` before a checkpoint syncs the WAL or merges
+``durable.wal_reset``  between a merge's rename of the fresh snapshot
+                       and the WAL reset
 ``proc.attach``        in a worker, before mapping the pool's store
                        image (``fail`` — exercises attach retry)
 ``proc.chunk``         in a worker, before executing a dispatched
@@ -83,9 +81,8 @@ ACTIONS = ("eio", "fail", "torn", "kill", "hang")
 SITES: dict[str, str] = {
     "wal.append": "before a WAL record is written",
     "wal.fsync": "between a WAL write and its fsync",
-    "durable.checkpoint": "before a checkpoint folds, appends or merges",
-    "durable.tail_append": "after a tail record is written, before fsync",
-    "durable.wal_reset": "after a checkpoint is durable, before WAL reset",
+    "durable.checkpoint": "before a checkpoint syncs the WAL or merges",
+    "durable.wal_reset": "between a merge's rename and the WAL reset",
     "proc.attach": "worker-side, before mapping the pool's store image",
     "proc.chunk": "worker-side, before executing a dispatched chunk",
     "proc.fence": "worker-side, on receiving a re-attach fence",

@@ -320,15 +320,6 @@ class UncertainDataset:
             raise RuntimeError("dataset already has a mutation log")
         self._log = log
 
-    def mutation_lock(self):
-        """The lock every mutation and its listeners run under.
-
-        While a caller holds it no mutation is in flight: every
-        listener call seen so far belongs to a mutation that either
-        committed (``epoch`` has reached it) or was aborted.
-        """
-        return self._store_lock
-
     def _notify(self, op: str, obj: UncertainObject, epoch: int) -> None:
         for listener in self._listeners:
             listener(op, obj, epoch)

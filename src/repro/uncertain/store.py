@@ -19,13 +19,18 @@ arrays), and the store records the epoch it is valid for.  A store
 built standalone against a dataset that has since mutated refuses to
 gather — the same ``check_index_in_sync`` contract the maintained
 Step-1 indexes follow.
+
+:meth:`InstanceStore.export_file` writes the store as one packed
+*image* file (header, then oids, offsets, domain, region corners,
+weights and instances) and :func:`attach_file` maps it back zero-copy.
+Durable snapshots and the process pool's per-epoch images share this
+one format; an image is always complete on its own, and what changed
+after it lives in the durable store's write-ahead log.
 """
 
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,28 +46,20 @@ __all__ = [
     "InstanceStore",
     "MappedInstanceStore",
     "MappedSnapshot",
-    "TailRecord",
     "attach_file",
-    "encode_tail",
     "image_nbytes",
-    "scan_tail",
 ]
 
 #: First header word of every packed image; an attach that does not
 #: find it is pointed at something that is not ours.
 _SHM_MAGIC = 0x5245_5052_4F53_544F  # "REPROSTO"
-#: Bump when the packed image layout changes; attaches refuse a
-#: mismatch instead of misreading bytes.  Version 2 snapshot files may
-#: carry tail records after the base image, which a version-1 reader
-#: would silently ignore.
-_SHM_LAYOUT_VERSION = 2
+#: Bump when the packed image layout or its meaning changes; attaches
+#: refuse a mismatch instead of misreading bytes.  Version 2 snapshot
+#: files could carry checkpoint records after the base image, which a
+#: version-3 reader would silently drop.
+_SHM_LAYOUT_VERSION = 3
 #: int64 header words: magic, version, epoch, n, size, dims, 2 spare.
 _SHM_HEADER_WORDS = 8
-#: First header word of a tail record appended to a snapshot file.
-_TAIL_MAGIC = 0x5245_5052_4F54_4149  # "REPROTAI"
-#: Tail record frame: body length (u64), CRC32 of length + body (u32),
-#: and a zero pad word that keeps the body 8-byte aligned.
-_TAIL_FRAME = struct.Struct("<QII")
 
 
 @dataclass(frozen=True)
@@ -410,23 +407,6 @@ def _segment_arrays(buf, n: int, size: int, d: int) -> dict:
     }
 
 
-def _build_objects(oids, offsets, los, his, instances, weights):
-    """Objects over packed arrays, zero-copy: each object's region
-    corners, instances and weights are views of the arrays."""
-    from ..geometry import Rect
-
-    bounds = offsets.tolist()
-    return [
-        UncertainObject(
-            oid=oid,
-            region=Rect(los[slot], his[slot]),
-            instances=instances[bounds[slot]:bounds[slot + 1]],
-            weights=weights[bounds[slot]:bounds[slot + 1]],
-        )
-        for slot, oid in enumerate(oids.tolist())
-    ]
-
-
 class MappedInstanceStore(InstanceStore):
     """A read-only :class:`InstanceStore` over a mapped image file.
 
@@ -478,9 +458,7 @@ class MappedSnapshot:
     process-pool worker its pool's current image.  Objects built from
     it hold zero-copy views into the mapping, which stays alive as
     long as any view references it (numpy base chain) — so the file
-    may be removed while mapped.  The attributes describe the base
-    image; tail records appended after it (:func:`encode_tail`) are
-    read with :meth:`tail`.
+    may be removed while mapped.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -492,10 +470,15 @@ class MappedSnapshot:
             )
         header = np.frombuffer(mm, dtype=np.int64, count=_SHM_HEADER_WORDS)
         magic, version, epoch, n, size, dims = (int(x) for x in header[:6])
-        if magic != _SHM_MAGIC or version != _SHM_LAYOUT_VERSION:
+        if magic != _SHM_MAGIC:
             raise ValueError(
                 f"file {self.path!r} is not an instance-store snapshot "
-                f"(magic/layout mismatch)"
+                f"(magic mismatch)"
+            )
+        if version != _SHM_LAYOUT_VERSION:
+            raise ValueError(
+                f"snapshot {self.path!r} has layout version {version}; "
+                f"this release reads only version {_SHM_LAYOUT_VERSION}"
             )
         layout = _segment_layout(n, size, dims)
         if mm.size < layout["total_bytes"]:
@@ -505,7 +488,6 @@ class MappedSnapshot:
             )
         self.epoch, self.n, self.size, self.dims = epoch, n, size, dims
         self._layout = layout
-        self._mm = mm
         arrays = _segment_arrays(mm, n, size, dims)
         self.oids = arrays["oids"]
         self.offsets = arrays["offsets"]
@@ -520,11 +502,20 @@ class MappedSnapshot:
 
     # ------------------------------------------------------------------
     def build_objects(self) -> list[UncertainObject]:
-        """Reconstruct every base-image object zero-copy over the mapping."""
-        return _build_objects(
-            self.oids, self.offsets, self.los, self.his,
-            self.instances, self.weights,
-        )
+        """Reconstruct every object zero-copy: each object's region
+        corners, instances and weights are views of the mapping."""
+        from ..geometry import Rect
+
+        bounds = self.offsets.tolist()
+        return [
+            UncertainObject(
+                oid=oid,
+                region=Rect(self.los[slot], self.his[slot]),
+                instances=self.instances[bounds[slot]:bounds[slot + 1]],
+                weights=self.weights[bounds[slot]:bounds[slot + 1]],
+            )
+            for slot, oid in enumerate(self.oids.tolist())
+        ]
 
     def build_dataset(self) -> "UncertainDataset":
         """Reconstruct the base image's dataset zero-copy.
@@ -545,40 +536,6 @@ class MappedSnapshot:
         )
         dataset.adopt_mapped_store(MappedInstanceStore(self))
         return dataset
-
-    def tail(self, offset: int) -> "TailRecord":
-        """The tail record whose body starts at byte ``offset``.
-
-        ``offset`` comes from :func:`scan_tail`, which has already
-        checked the record's frame and CRC; the inserted objects are
-        zero-copy views of the mapping, like the base image's.
-        """
-        header = np.frombuffer(
-            self._mm, dtype=np.int64, count=_SHM_HEADER_WORDS, offset=offset
-        )
-        magic, version, epoch_to, k, size, dims, epoch_from, n_deleted = (
-            int(x) for x in header
-        )
-        if (magic, version, dims) != (_TAIL_MAGIC, _SHM_LAYOUT_VERSION,
-                                      self.dims):
-            raise ValueError(
-                f"snapshot {self.path!r}: bytes at {offset} are not a "
-                f"{self.dims}-d tail record (magic/layout mismatch)"
-            )
-        arrays = _segment_arrays(self._mm[offset:], k, size, dims)
-        deleted = np.frombuffer(
-            self._mm, dtype=np.int64, count=n_deleted,
-            offset=offset + image_nbytes(k, size, dims),
-        )
-        return TailRecord(
-            epoch_from=epoch_from,
-            epoch_to=epoch_to,
-            deleted=deleted.tolist(),
-            objects=_build_objects(
-                arrays["oids"], arrays["offsets"], arrays["los"],
-                arrays["his"], arrays["instances"], arrays["weights"],
-            ),
-        )
 
     # ------------------------------------------------------------------
     def read_pages(self, ids: Sequence[int], page_size: int = 4096) -> int:
@@ -618,7 +575,6 @@ class MappedSnapshot:
             if hasattr(self, name):
                 delattr(self, name)
         self._slot_of = {}
-        self._mm = None
 
     def __repr__(self) -> str:
         return (
@@ -630,126 +586,10 @@ class MappedSnapshot:
 def attach_file(path: str | os.PathLike) -> MappedSnapshot:
     """Memory-map an :meth:`InstanceStore.export_file` snapshot.
 
-    Refuses anything that is not a current snapshot: wrong magic,
-    unknown layout version, or a file shorter than the header's
-    promised payload (a torn write that escaped the atomic-rename
-    discipline).  Bytes past the base image are tail records, read
-    one at a time through :meth:`MappedSnapshot.tail`.
+    Refuses (``ValueError``) anything that is not a current snapshot:
+    wrong magic, another layout version (a version-2 file may carry
+    checkpoint records this reader would drop), or a file shorter than
+    the header's promised payload (a torn write that escaped the
+    atomic-rename discipline).
     """
     return MappedSnapshot(path)
-
-
-# ----------------------------------------------------------------------
-# Tail records: incremental checkpoints appended to a snapshot file
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TailRecord:
-    """The net mutations between two checkpoints, as one record.
-
-    Applying it to the state at ``epoch_from`` — drop every oid in
-    ``deleted``, then append ``objects`` in order — gives the state at
-    ``epoch_to``, ids order included.
-    """
-
-    epoch_from: int
-    epoch_to: int
-    deleted: list[int]
-    objects: list[UncertainObject]
-
-
-def encode_tail(
-    epoch_from: int,
-    epoch_to: int,
-    deleted: Sequence[int],
-    objects: Sequence[UncertainObject],
-    domain,
-) -> bytes:
-    """One framed tail record, ready to append to a snapshot file.
-
-    The body is a packed segment of the inserted objects in the export
-    layout (oids, offsets, domain, region corners, weights, instances),
-    whose header words read: tail magic, layout version, ``epoch_to``,
-    object count, instance rows, dims, ``epoch_from`` and the number of
-    deleted oids; the deleted oids (int64) follow the segment.  The
-    frame is the body length and a CRC32 over length and body, like a
-    WAL record's, so a torn or flipped record is detected.
-    """
-    k, dims = len(objects), domain.dims
-    counts = [o.n_instances for o in objects]
-    size = sum(counts)
-    segment = image_nbytes(k, size, dims)
-    body = bytearray(segment + 8 * len(deleted))
-    arrays = _segment_arrays(body, k, size, dims)
-    arrays["header"][:] = (
-        _TAIL_MAGIC, _SHM_LAYOUT_VERSION, epoch_to, k, size, dims,
-        epoch_from, len(deleted),
-    )
-    arrays["domain"][0] = domain.lo
-    arrays["domain"][1] = domain.hi
-    if k:
-        arrays["oids"][:] = [o.oid for o in objects]
-        np.cumsum(counts, out=arrays["offsets"][1:])
-        arrays["los"][:] = [o.region.lo for o in objects]
-        arrays["his"][:] = [o.region.hi for o in objects]
-        np.concatenate([o.weights for o in objects], out=arrays["weights"])
-        np.concatenate(
-            [o.instances for o in objects], out=arrays["instances"]
-        )
-    np.frombuffer(body, dtype=np.int64, offset=segment)[:] = deleted
-    return _tail_frame(body) + body
-
-
-def _tail_frame(body) -> bytes:
-    length = struct.pack("<Q", len(body))
-    crc = zlib.crc32(body, zlib.crc32(length)) & 0xFFFFFFFF
-    return _TAIL_FRAME.pack(len(body), crc, 0)
-
-
-def scan_tail(path: str | os.PathLike) -> tuple[list[int], int, bool]:
-    """Find the intact tail records of a snapshot file.
-
-    Returns ``(offsets, valid_bytes, damaged)``: the body offset of
-    every intact record in file order, the length up to which the file
-    is intact, and whether a torn or CRC-broken record follows it.
-    Reads the file without mapping it, so a caller can truncate the
-    damage before :func:`attach_file`.  Raises :class:`ValueError`
-    when the base image itself is not a current, complete snapshot.
-    """
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size
-        header = np.frombuffer(
-            fh.read(_SHM_HEADER_WORDS * 8), dtype=np.int64
-        )
-        if len(header) < _SHM_HEADER_WORDS:
-            raise ValueError(
-                f"snapshot {path!r} is too short to hold a header"
-            )
-        magic, version, _epoch, n, size, dims = (int(x) for x in header[:6])
-        if magic != _SHM_MAGIC or version != _SHM_LAYOUT_VERSION:
-            raise ValueError(
-                f"file {path!r} is not an instance-store snapshot "
-                f"(magic/layout mismatch)"
-            )
-        pos = image_nbytes(n, size, dims)
-        if end < pos:
-            raise ValueError(
-                f"snapshot {path!r} is truncated: header promises "
-                f"{pos} bytes, file holds {end}"
-            )
-        fh.seek(pos)
-        offsets: list[int] = []
-        while pos < end:
-            frame = fh.read(_TAIL_FRAME.size)
-            if len(frame) < _TAIL_FRAME.size:
-                return offsets, pos, True
-            length, crc, _pad = _TAIL_FRAME.unpack(frame)
-            start = pos + _TAIL_FRAME.size
-            if start + length > end:
-                return offsets, pos, True
-            body = fh.read(length)
-            if _tail_frame(body) != frame:
-                return offsets, pos, True
-            offsets.append(start)
-            pos = start + length
-    return offsets, pos, False

@@ -138,7 +138,8 @@ def child_main(path: str, checkpoint_every: int = 0) -> None:
     Opens (or creates) the database at ``path`` with ``fsync="always"``
     and applies the mutation sequence from the recovered epoch onward,
     checkpointing after every ``checkpoint_every`` mutations when that
-    is positive (so a kill can land inside a checkpoint's append).
+    is positive (so a kill can land inside a checkpoint's WAL sync or
+    merge).
     Prints ``READY`` once the first mutation has committed so the
     parent knows the WAL is live before scheduling the SIGKILL.  The
     parent kills this process at an arbitrary moment; whatever epoch
@@ -170,12 +171,13 @@ def crash_child_main(path: str, site: str) -> None:
 
     Creates the database at ``path`` and applies the mutation sequence
     with a checkpoint after every :data:`CHECKPOINT_EVERY` mutations,
-    printing ``CKPT <epoch>`` before each.  The third checkpoint is
-    killed at ``site`` (a ``kill`` fault: ``os._exit`` mid-checkpoint),
-    so two intact tail records precede it.  ``site == "merge"`` instead
-    kills the first checkpoint that merges, between its rename and the
-    WAL reset.  Every mutation the child applied was accepted, so
-    recovery must return exactly the prefix up to the last ``CKPT``.
+    printing ``CKPT <epoch>`` before each.  The third hit of ``site``
+    is killed (a ``kill`` fault: ``os._exit`` mid-checkpoint): the
+    third checkpoint for ``durable.checkpoint``, the third merge for
+    ``durable.wal_reset``.  ``site == "merge"`` instead kills the first
+    checkpoint that merges, between its rename and the WAL reset.
+    Every mutation the child applied was accepted, so recovery must
+    return exactly the prefix up to the last ``CKPT``.
     """
     import sys
 

@@ -311,39 +311,21 @@ class TestRetrievers:
                 dataset, q
             )
 
-    def test_batch_matches_single(self, dataset):
-        retriever = BruteForceRetriever(dataset)
-        rng = np.random.default_rng(4)
-        block = dataset.domain.sample_points(6, rng)
-        batched = retriever.candidates_batch(block)
-        for q, ids in zip(block, batched):
-            assert ids == retriever.candidates(q)
-
     def test_batch_chunking_preserves_results(
         self, dataset, monkeypatch
     ):
         from repro.engine import retrievers as retrievers_mod
 
+        from repro.service.shards import ShardedRetriever
+
         block = dataset.domain.sample_points(
             7, np.random.default_rng(11)
         )
-        retriever = BruteForceRetriever(dataset)
+        retriever = ShardedRetriever(dataset)
         whole = retriever.candidates_batch(block)
+        assert whole == [retriever.candidates(q) for q in block]
         monkeypatch.setattr(retrievers_mod, "BATCH_CHUNK", 2)
         assert retriever.candidates_batch(block) == whole
-
-    def test_knn_batch_chunking_preserves_results(
-        self, dataset, monkeypatch
-    ):
-        from repro.engine import retrievers as retrievers_mod
-
-        engine = KNNEngine(dataset)
-        block = dataset.domain.sample_points(
-            7, np.random.default_rng(12)
-        )
-        whole = engine._retrieve_batch(list(block), {"k": 3})
-        monkeypatch.setattr(retrievers_mod, "BATCH_CHUNK", 2)
-        assert engine._retrieve_batch(list(block), {"k": 3}) == whole
 
 
 # ----------------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_candidates_bit_identical_to_brute_force():
         queries = rng.uniform(
             ds.domain.lo, ds.domain.hi, size=(64, ds.dims)
         )
-        want = brute.candidates_batch(queries)
+        want = [brute.candidates(q) for q in queries]
         got = sharded.candidates_batch(queries)
         # Same ids, same order, every query — not set-equality.
         assert got == want, name
@@ -119,16 +119,17 @@ def test_bit_identical_under_hash_layout():
     queries = rng.uniform(ds.domain.lo, ds.domain.hi, size=(16, 2))
     brute = BruteForceRetriever(ds)
     sharded = ShardedRetriever(ds, layout=layout)
-    assert sharded.candidates_batch(queries) == brute.candidates_batch(
-        queries
-    )
+    assert sharded.candidates_batch(queries) == [
+        brute.candidates(q) for q in queries
+    ]
     coincident = _coincident_dataset(60)
     sharded = ShardedRetriever(
         coincident, layout=ShardLayout.build(coincident, 4)
     )
-    assert sharded.candidates_batch(queries) == BruteForceRetriever(
-        coincident
-    ).candidates_batch(queries)
+    brute = BruteForceRetriever(coincident)
+    assert sharded.candidates_batch(queries) == [
+        brute.candidates(q) for q in queries
+    ]
 
 
 def test_queries_at_domain_corners_and_centers():
@@ -139,9 +140,9 @@ def test_queries_at_domain_corners_and_centers():
     queries = np.stack(
         [lo, hi, (lo + hi) / 2.0, np.array([lo[0], hi[1]])]
     )
-    assert sharded.candidates_batch(queries) == brute.candidates_batch(
-        queries
-    )
+    assert sharded.candidates_batch(queries) == [
+        brute.candidates(q) for q in queries
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +174,7 @@ def test_layout_rebuilds_on_epoch_drift():
     assert second is not first
     rng = np.random.default_rng(14)
     queries = rng.uniform(ds.domain.lo, ds.domain.hi, size=(8, 2))
-    assert sharded.candidates_batch(queries) == BruteForceRetriever(
-        ds
-    ).candidates_batch(queries)
+    brute = BruteForceRetriever(ds)
+    assert sharded.candidates_batch(queries) == [
+        brute.candidates(q) for q in queries
+    ]

@@ -225,8 +225,8 @@ def test_pv_candidates_equal_brute_force_after_churn(dims):
     brute = BruteForceRetriever(ds)
     rng = np.random.default_rng(dims)
     queries = ds.domain.sample_points(60, rng)
-    batch = brute.candidates_batch(queries)
-    for q, want in zip(queries, batch):
+    for q in queries:
+        want = brute.candidates(q)
         got = index.candidates(q)
         assert sorted(got) == sorted(want)
         if dims == 2:  # the scalar filter rounds identically at d=2
@@ -255,7 +255,8 @@ def test_rtree_candidates_equal_scalar_loop_after_churn(dims):
     brute = BruteForceRetriever(ds)
     rng = np.random.default_rng(dims)
     queries = ds.domain.sample_points(80, rng)
-    for q, want in zip(queries, brute.candidates_batch(queries)):
+    for q in queries:
+        want = brute.candidates(q)
         before = pager.stats.reads
         got = index.candidates(q)
         kernel_reads = pager.stats.reads - before

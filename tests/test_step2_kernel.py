@@ -172,6 +172,56 @@ class TestKernelDifferential:
             reference_qualification_probabilities(ds, ids, q[None, :])[0],
         )
 
+    def test_coordinates_far_from_the_origin(self):
+        """Every coordinate offset by 1e12: squared distances lose the
+        low bits of the offset, identically in kernel and reference."""
+        ds = synthetic_dataset(n=20, dims=2, u_max=600, n_samples=15, seed=4)
+        shift = 1e12
+        objs = [
+            UncertainObject(
+                o.oid,
+                Rect(o.region.lo + shift, o.region.hi + shift),
+                o.instances + shift,
+                o.weights,
+            )
+            for o in ds
+        ]
+        far = UncertainDataset(
+            objs,
+            domain=Rect(ds.domain.lo + shift, ds.domain.hi + shift),
+        )
+        q = far.domain.sample_points(4, np.random.default_rng(4))
+        new = batched_qualification_probabilities(far, far.ids, q)
+        ref = reference_qualification_probabilities(far, far.ids, q)
+        for row_new, row_ref in zip(new, ref):
+            _assert_close(row_new, row_ref)
+
+    def test_many_overlapping_candidates_with_large_m(self):
+        """30 candidates over one region with m=3000 each: the survival
+        products of the far instances fall far below 1."""
+        rng = np.random.default_rng(30)
+        region = Rect([40.0, 40.0], [60.0, 60.0])
+        objs = []
+        for oid in range(30):
+            inst = rng.uniform(region.lo, region.hi, (3000, 2))
+            w = rng.uniform(0.1, 1.0, 3000)
+            w /= w.sum()
+            objs.append(UncertainObject(oid, region, inst, w))
+        ds = UncertainDataset(objs, domain=Rect([0.0, 0.0], [100.0, 100.0]))
+        q = np.array([[50.0, 50.0], [41.0, 58.0], [10.0, 90.0]])
+        new = batched_qualification_probabilities(ds, ds.ids, q)
+        ref = reference_qualification_probabilities(ds, ds.ids, q)
+        for row_new, row_ref in zip(new, ref):
+            _assert_close(row_new, row_ref)
+
+    def test_every_object_a_single_instance(self):
+        ds = synthetic_dataset(n=25, dims=2, u_max=600, n_samples=1, seed=6)
+        q = ds.domain.sample_points(5, np.random.default_rng(6))
+        new = batched_qualification_probabilities(ds, ds.ids, q)
+        ref = reference_qualification_probabilities(ds, ds.ids, q)
+        for row_new, row_ref in zip(new, ref):
+            _assert_close(row_new, row_ref)
+
     @given(st.integers(0, 200))
     @settings(max_examples=12, deadline=None)
     def test_differential_property(self, seed):

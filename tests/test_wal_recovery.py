@@ -21,7 +21,7 @@ from repro.uncertain import (
     synthetic_dataset,
     uniform_pdf,
 )
-from repro.uncertain.store import encode_tail, image_nbytes, scan_tail
+from repro.uncertain.store import image_nbytes
 
 
 def small_dataset(n=10, seed=3):
@@ -309,10 +309,10 @@ class TestMutationListeners:
             ds.set_mutation_log(lambda *a: None)
         store.close()
 
-    def test_replay_keeps_the_last_record_per_epoch(self, tmp_path):
-        """A log written while an aborted mutation could still be
-        logged holds two records at one epoch: the later one
-        committed, and replay applies it."""
+    def test_replay_refuses_a_repeated_epoch(self, tmp_path):
+        """The log holds only committed mutations, one per epoch, so
+        two records at one epoch past the snapshot are damage, not a
+        choice to make; recovery refuses and releases the directory."""
         ds = small_dataset()
         store = DurableStore(tmp_path / "db")
         store.initialize(ds)
@@ -320,19 +320,15 @@ class TestMutationListeners:
         wal = WriteAheadLog(store.wal_path)
         wal.append(1, OP_INSERT, encode_insert(make_object(100, seed=5)))
         wal.append(1, OP_INSERT, encode_insert(make_object(101, seed=6)))
-        wal.append(2, OP_DELETE, encode_delete(101))
-        wal.append(2, OP_DELETE, encode_delete(ds.ids[0]))
         wal.close()
-        reopened = DurableStore(tmp_path / "db")
-        recovered = reopened.recover()
-        reopened.close()
-        assert recovered.epoch == 2
-        assert 100 not in recovered and 101 in recovered
-        assert ds.ids[0] not in recovered
+        for _ in range(2):  # the first refusal released the lock
+            with pytest.raises(RecoveryError, match="not contiguous"):
+                DurableStore(tmp_path / "db").recover()
 
 
 class TestSnapshotTail:
-    """Checkpoints append tail records to ``snapshot.bin``."""
+    """``snapshot.bin`` is one plain base image; checkpoints keep the
+    WAL and merge it into a fresh image once the pair has grown."""
 
     def _store(self, tmp_path, dataset):
         store = DurableStore(tmp_path / "db")
@@ -350,88 +346,6 @@ class TestSnapshotTail:
             assert np.array_equal(recovered[oid].region.lo, live[oid].region.lo)
             assert np.array_equal(recovered[oid].region.hi, live[oid].region.hi)
 
-    @pytest.mark.parametrize("damage", ["truncate", "flip"])
-    def test_damaged_tail_recovers_earlier_records_plus_wal(
-        self, tmp_path, damage
-    ):
-        ds = small_dataset()
-        store = self._store(tmp_path, ds)
-        ds.insert(make_object(100, seed=5))
-        ds.delete(ds.ids[0])
-        store.checkpoint()  # first tail record, intact
-        snap_path = tmp_path / "db" / "snapshot.bin"
-        intact = snap_path.stat().st_size
-        ds.insert(make_object(101, seed=6))
-        ds.delete(ds.ids[1])
-        # The crash tears the second record before the WAL reset, so
-        # the WAL still holds both of its mutations.
-        wal_bytes = (tmp_path / "db" / "wal.log").read_bytes()
-        store.checkpoint()
-        store.close()
-        (tmp_path / "db" / "wal.log").write_bytes(wal_bytes)
-        data = bytearray(snap_path.read_bytes())
-        if damage == "truncate":
-            data = data[: (intact + len(data)) // 2]
-        else:
-            data[len(data) - 9] ^= 0x01  # one bit of the last record
-        snap_path.write_bytes(bytes(data))
-
-        store2 = DurableStore(tmp_path / "db")
-        recovered = store2.recover()
-        self._assert_same(recovered, ds)
-        # Recovery truncated the damage before mapping the file...
-        assert snap_path.stat().st_size == intact
-        # ...so the next checkpoint appends cleanly behind record one.
-        store2.attach(recovered)
-        recovered.insert(make_object(102, seed=7))
-        store2.checkpoint()
-        store2.close()
-        offsets, valid, damaged = scan_tail(snap_path)
-        assert len(offsets) == 2 and not damaged
-        assert valid == snap_path.stat().st_size
-        self._assert_same(DurableStore(tmp_path / "db").recover(), recovered)
-
-    def test_reinserted_oid_goes_last_and_cancelled_insert_vanishes(
-        self, tmp_path
-    ):
-        ds = small_dataset()
-        store = self._store(tmp_path, ds)
-        store.checkpoint()
-        victim = ds.ids[2]
-        ds.delete(victim)
-        ds.insert(make_object(100, seed=5))
-        ds.insert(make_object(victim, seed=6))  # same oid, new pdf
-        ds.insert(make_object(101, seed=7))
-        ds.delete(101)  # inserted and deleted again: cancels out
-        store.checkpoint()
-        store.close()
-        assert ds.ids[-2:] == [100, victim]
-
-        snap_path = tmp_path / "db" / "snapshot.bin"
-        offsets, _valid, damaged = scan_tail(snap_path)
-        assert len(offsets) == 1 and not damaged
-        snap = attach_file(snap_path)
-        record = snap.tail(offsets[0])
-        assert (record.epoch_from, record.epoch_to) == (0, ds.epoch)
-        assert record.deleted == [victim]
-        assert [o.oid for o in record.objects] == [100, victim]
-        snap.close()
-        self._assert_same(DurableStore(tmp_path / "db").recover(), ds)
-
-    def test_epoch_chain_break_raises(self, tmp_path):
-        ds = small_dataset()
-        store = self._store(tmp_path, ds)
-        ds.insert(make_object(100, seed=5))
-        store.checkpoint()
-        store.close()
-        # A record that claims to start two epochs after the first
-        # one ends cannot follow it.
-        obj = make_object(101, seed=6)
-        with open(tmp_path / "db" / "snapshot.bin", "ab") as fh:
-            fh.write(encode_tail(3, 4, [], [obj], ds.domain))
-        with pytest.raises(RecoveryError, match="starts at epoch 3"):
-            DurableStore(tmp_path / "db").recover()
-
     def test_delete_heavy_sequence_merges_exactly_once(
         self, tmp_path, monkeypatch
     ):
@@ -445,45 +359,59 @@ class TestSnapshotTail:
             return real_export(self, path)
 
         monkeypatch.setattr(InstanceStore, "export_file", counting_export)
-        snap_path = tmp_path / "db" / "snapshot.bin"
-        sizes = [snap_path.stat().st_size]
-        fresh = []
+        db_dir = tmp_path / "db"
+        snap_path = db_dir / "snapshot.bin"
+        on_disk, fresh = [], []
         for _ in range(12):
             ds.delete(ds.ids[0])
             ds.delete(ds.ids[-1])
-            store.checkpoint()
-            sizes.append(snap_path.stat().st_size)
+            on_disk.append(
+                snap_path.stat().st_size + (db_dir / "wal.log").stat().st_size
+            )
             rows = sum(o.n_instances for o in ds)
             fresh.append(image_nbytes(len(ds), rows, ds.dims))
+            assert store.checkpoint() == ds.epoch
         assert len(exports) == 1
-        merged = next(i for i in range(12) if sizes[i + 1] < sizes[i])
-        # The merge came at the first checkpoint whose append would
-        # have passed MERGE_FACTOR x a fresh export...
-        for i in range(merged):
-            assert sizes[i + 1] <= MERGE_FACTOR * fresh[i]
-        assert sizes[merged + 1] == fresh[merged]
-        grown = sizes[merged] + (sizes[1] - sizes[0])
-        assert grown > MERGE_FACTOR * fresh[merged]
-        # ...and left a plain base image plus the later tail records.
-        offsets, _valid, _damaged = scan_tail(snap_path)
-        assert len(offsets) == 12 - merged - 1
+        merged = next(
+            i for i in range(12) if on_disk[i] > MERGE_FACTOR * fresh[i]
+        )
+        # The merge wrote a fresh export of the live store and reset
+        # the WAL; the later checkpoints only synced the log.
+        assert snap_path.stat().st_size == fresh[merged]
+        records = WriteAheadLog.scan(store.wal_path)[0]
+        assert [r.epoch for r in records] == list(
+            range(2 * merged + 3, ds.epoch + 1)
+        )
         store.close()
         self._assert_same(DurableStore(tmp_path / "db").recover(), ds)
 
-    @pytest.mark.parametrize("n", [200, 4000])
-    def test_checkpoint_growth_follows_the_inserts_not_n(self, tmp_path, n):
-        ds = small_dataset(n=n)
-        store = self._store(tmp_path, ds)
-        snap_path = tmp_path / "db" / "snapshot.bin"
-        before = snap_path.stat().st_size
-        k, m, d = 5, 4, ds.dims
-        for i in range(k):
-            ds.insert(make_object(1_000_000 + i, seed=i))
-        store.checkpoint()
-        store.close()
-        # Per object: oid, offset, region corners, weights, instances.
-        per_object = 8 + 8 + 2 * d * 8 + m * 8 + m * d * 8
-        # Per record: frame (length, CRC, pad), eight header words,
-        # the leading zero offset and the domain corners.
-        header = 16 + 8 * 8 + 8 + 2 * d * 8
-        assert snap_path.stat().st_size - before == k * per_object + header
+
+class TestLayoutVersion:
+    """Snapshots of another layout version are refused, not misread."""
+
+    @staticmethod
+    def _rewrite_version(path, version):
+        data = bytearray(path.read_bytes())
+        data[8:16] = np.int64(version).tobytes()
+        path.write_bytes(bytes(data))
+
+    def test_version_2_image_is_refused(self, tmp_path):
+        ds = small_dataset()
+        image = tmp_path / "image.bin"
+        ds.instance_store().export_file(image)
+        attach_file(image).close()  # the current version maps
+        self._rewrite_version(image, 2)
+        with pytest.raises(ValueError, match="layout version 2"):
+            attach_file(image)
+
+    def test_version_2_directory_is_refused_by_open(self, tmp_path):
+        from repro.api import Database
+
+        path = tmp_path / "db"
+        Database.open(str(path), dataset=small_dataset()).close()
+        self._rewrite_version(path / "snapshot.bin", 2)
+        with pytest.raises(ValueError, match="layout version 2"):
+            Database.open(str(path))
+        # The refusal released the single-writer lock.
+        with pytest.raises(ValueError, match="layout version 2"):
+            Database.open(str(path))
