@@ -33,7 +33,7 @@ import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from ..analysis.locks import make_lock, make_rlock
-from ..core import se as _se
+from ..core import sekernel
 from ..core import (
     ExpectedNNEngine,
     GroupNNEngine,
@@ -874,8 +874,10 @@ class Database:
         """A structured snapshot of the session's live state.
 
         Covers the dataset (size, dims, epoch), which index handles
-        are built, which Shrink-and-Expand loop PV-index builds and
-        maintenance run on (``"se_kernel"``: ``"c"`` or ``"numpy"``),
+        are built, whether the compiled loops (the Shrink-and-Expand
+        row loop of PV-index builds and maintenance, and the Step-2 log
+        walk) run in this process (``"kernel"``: ``"c"`` or
+        ``"numpy"``; one build decides both),
         durability and serving status, and — when standing
         subscriptions exist — their live counts and per-subscription
         emit/suppress counters.
@@ -898,7 +900,7 @@ class Database:
                 "available": sorted(self._handles),
                 "built": list(built),
             },
-            "se_kernel": _se.kernel_name(),
+            "kernel": sekernel.kernel_name(),
             "durable": self.durable,
             "degraded_mode": bool(
                 durable is not None and durable.read_only

@@ -33,12 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..engine import (
-    KERNEL_CHUNK_BYTES,
-    BaseEngine,
-    FrozenDict,
-    survival_products,
-)
+from ..engine import BaseEngine, FrozenDict, survival_products
 from ..engine.batch import _chunk_rows, _distance_tensor
 from ..geometry import Rect
 from ..geometry.domination import margin_bounds_batch
@@ -195,9 +190,7 @@ class ReverseNNEngine(BaseEngine):
         # Same sizing as the main kernel: the budget must cover the
         # tie fallback's materialized survival tensors, not just the
         # log walk (tied coordinates are exactly when it matters).
-        step = _chunk_rows(
-            len(obj.instances), n_o, m_x, KERNEL_CHUNK_BYTES
-        )
+        step = _chunk_rows(len(obj.instances), n_o, m_x)
         total = 0.0
         for lo in range(0, len(obj.instances), step):
             points = obj.instances[lo : lo + step]

@@ -48,14 +48,14 @@ whole batch to one row loop.  There are two, with identical results:
   lockstep, one batched emptiness test per step over the rows still
   running.  It is the fallback and the compiled loop's test oracle.
 
-The compiled loop is built on the first SE call of each process (about
-0.15-0.4 s of gcc, once) into a temporary directory that is removed
-right after loading.  When that fails (no compiler, ``CC`` naming one
-that fails, an unwritable temporary directory, a ``noexec`` mount),
-SE runs the numpy loop; :func:`kernel_name` and
-``Database.describe()["se_kernel"]`` say which one is in use.  Either
-way every object's sequence of decisions is exactly the one-object
-loop's, so the UBRs are too.
+The compiled loop is built on the first SE or Step-2 call of each
+process (about 0.25-0.5 s of gcc, once, together with the Step-2 walk)
+into a temporary directory that is removed right after loading.  When
+that fails (no compiler, ``CC`` naming one that fails, an unwritable
+temporary directory, a ``noexec`` mount), SE runs the numpy loop;
+:func:`kernel_name` and ``Database.describe()["kernel"]`` say which one
+is in use.  Either way every object's sequence of decisions is exactly
+the one-object loop's, so the UBRs are too.
 """
 
 from __future__ import annotations
@@ -184,11 +184,9 @@ def refine_rows_numpy(
 ROW_KERNELS = {"c": sekernel.refine_rows, "numpy": refine_rows_numpy}
 
 
-def kernel_name() -> str:
-    """Which row loop SE runs in this process: ``"c"`` when the
-    compiled loop built and loaded (see :mod:`repro.core.sekernel`),
-    otherwise ``"numpy"``."""
-    return "c" if sekernel.load() is not None else "numpy"
+#: Which row loop SE runs (:func:`repro.core.sekernel.kernel_name`);
+#: a module global so tests can pin SE to one loop.
+kernel_name = sekernel.kernel_name
 
 
 @dataclass(frozen=True)

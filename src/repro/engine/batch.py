@@ -1,44 +1,46 @@
-"""Tensorized Step-2 kernels shared by every query engine.
+"""Step-2 kernels shared by every query engine.
 
 :func:`batched_qualification_probabilities` evaluates the PNNQ Step-2
 computation of Cheng et al. [8] (discrete-pdf form, identical math to
 :func:`repro.core.pnnq.qualification_probabilities`) for *many query
-points against one shared candidate set* at once.  The implementation
-is a single numpy pass over a packed candidate block:
+points against one shared candidate set* at once.  Both of its paths
+compute, per query row, the survival products ``prod_j Pr[dist(o_j, q)
+> r]`` from a cumulative log-survival walk: all ``n * m`` distances of
+the row are sorted jointly once, and every element passed multiplies
+its candidate's survival factor into a running log-sum, so the product
+at every radius is one running sum plus one ``exp`` — with an exact
+zero-survival counter so hard zeros stay hard zeros.
 
-1. **Gather** — the candidate pdfs are fetched from the dataset's
-   :class:`~repro.uncertain.InstanceStore` (one contiguous instance
-   matrix + offsets table) with one fancy-index, producing a dense
-   ``(n, m, d)`` block — no per-object dict walks.
-2. **Distances** — the full ``(b, n, m)`` query-instance distance
-   tensor comes from one broadcasted einsum.
-3. **Survivals** — each candidate's distance row is sorted once
-   (exactly the reference's per-candidate tables), all ``n * m``
-   distances of a query row are then sorted *jointly once*, and the
-   survival products ``prod_j Pr[dist(o_j, q) > r]`` are read off a
-   cumulative log-survival walk along that global order: every element
-   passed multiplies its candidate's survival factor into a running
-   log-sum, so the whole product at every radius is one cumsum plus
-   one ``exp`` — with an exact zero-survival counter so hard zeros
-   stay hard zeros.  There is no Python loop over ``(query row,
-   candidate, competitor)`` triples — nor even over competitors: the
-   products at all radii are a handful of array expressions.
+* **The compiled walk** (``step2_kernel.c``, built and loaded with the
+  SE loop by :mod:`repro.core.sekernel`) does this for every row in one
+  C call, reading the candidates' rows straight off the dataset's
+  :class:`~repro.uncertain.InstanceStore` (one contiguous instance
+  matrix + offsets table) through :meth:`InstanceStore.rows`: no
+  padded block, no distance tensor.  Its distances are bit-identical to
+  the numpy path's; its ``log``/``exp`` come from libm, so answers
+  agree with the numpy path to about 1e-16.
+* **The numpy kernel** gathers a dense padded ``(n, m, d)`` block with
+  one fancy-index (:meth:`InstanceStore.gather`), takes the ``(b, n,
+  m)`` distance tensor from one broadcasted einsum and runs the walk
+  as a handful of array expressions (:func:`_log_products`).  It runs
+  when the library did not build, and for the rows the walk hands back.
 
-Inputs with duplicated distance values across candidates cannot use
-the log walk (the half-weight tie convention needs run boundaries);
-they are detected after the global sort and routed through
-:func:`_survival_core`, a materialized survival-tensor path that
-reproduces the reference's tie handling exactly.  Either way the
-half-weight convention and the final clamp to ``[0, 1]`` are
-preserved, and the retained reference in ``tests/reference_step2.py``
-is pinned against this kernel to 1e-9 by the differential property
-tests.
+Rows with duplicated distance values across candidates cannot use the
+log walk (the half-weight tie convention needs run boundaries): both
+paths detect them after the global sort, and only those rows go
+through :func:`_survival_core`, a materialized survival-tensor path
+that reproduces the reference's tie handling exactly.  Every row is
+computed on its own, so its answer does not depend on which other rows
+share its call.  The half-weight convention and the final clamp to
+``[0, 1]`` hold on every path, and the retained reference in
+``tests/reference_step2.py`` is pinned against both to 1e-9 by the
+differential tests.
 
-Peak memory is bounded by chunking over the query axis:
-:data:`KERNEL_CHUNK_BYTES` caps the per-chunk working set (sized for
-the tie fallback's ``(rows, n, n * m)`` survival tensor — the log
-walk needs far less) and can be overridden per call with
-``chunk_bytes=``.
+Peak memory of the numpy kernel is bounded by chunking over the query
+axis: :data:`KERNEL_CHUNK_BYTES` caps the per-chunk working set (sized
+for the tie fallback's ``(rows, n, n * m)`` survival tensor — the log
+walk needs far less).  The compiled walk needs about 56 bytes per
+candidate instance, whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import time
 
 import numpy as np
 
+from ..core import sekernel
 from ..uncertain import UncertainDataset
 from .stats import ExecutionStats
 
@@ -269,7 +272,7 @@ def _log_products(
     D: np.ndarray,
     W: np.ndarray,
     radii: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Survival products at a needle grid via the cumulative log walk.
 
     The fast path of the kernel: along the globally sorted distance
@@ -280,13 +283,15 @@ def _log_products(
     never re-enters through ``exp``), and a needle's own candidate is
     divided back out in log space.
 
-    Returns ``(prod, own_or_colid, w_needle)`` with needles in sorted
-    order: ``prod`` the ``(B, T)`` product over all candidates but the
-    needle's own (element mode) or over all candidates (external
-    ``radii`` mode, where the second array is the needle's original
-    column instead of its own slot).  Returns ``None`` when duplicated
-    values across candidates (or against needles) require the exact
-    tie-run treatment of :func:`_survival_core`.
+    Returns ``(prod, own_or_colid, w_needle, tied)`` with needles in
+    sorted order: ``prod`` the ``(B, T)`` product over all candidates
+    but the needle's own (element mode) or over all candidates
+    (external ``radii`` mode, where the second array is the needle's
+    original column instead of its own slot).  ``tied`` is the ``(B,)``
+    mask of rows whose duplicated values across candidates (or against
+    needles) require the exact tie-run treatment of
+    :func:`_survival_core`; their other outputs are meaningless.  Rows
+    are independent: a row's outputs do not depend on the others.
     """
     B, n, m = D.shape
     M = n * m
@@ -343,10 +348,9 @@ def _log_products(
     # run treatment — the log walk cannot split weight at a boundary.
     # Instance-store padding duplicates values only within its own
     # candidate (same label), which the walk handles exactly.
-    if bool(
-        ((SV[:, 1:] == SV[:, :-1]) & (SL[:, 1:] != SL[:, :-1])).any()
-    ):
-        return None
+    tied = ((SV[:, 1:] == SV[:, :-1]) & (SL[:, 1:] != SL[:, :-1])).any(
+        axis=1
+    )
 
     T = np.cumsum(np.take_along_axis(deltas, order, axis=1), axis=1)
     Z = np.cumsum(
@@ -360,14 +364,13 @@ def _log_products(
         )
         prod = np.exp(T - own_log)
         prod[Z > own_dead] = 0.0
-        return prod, SL, np.take_along_axis(
-            sw_c.reshape(B, M), order, axis=1
-        )
+        w_needle = np.take_along_axis(sw_c.reshape(B, M), order, axis=1)
+        return prod, SL, w_needle, tied
     rows = np.nonzero(SL < 0)[1].reshape(B, radii.shape[1])
     prod = np.exp(np.take_along_axis(T, rows, axis=1))
     prod[np.take_along_axis(Z, rows, axis=1) > 0] = 0.0
     needle_col = np.take_along_axis(colid[order], rows, axis=1)
-    return prod, needle_col, np.zeros_like(prod)
+    return prod, needle_col, np.zeros_like(prod), tied
 
 
 def element_survival_probabilities(
@@ -381,20 +384,21 @@ def element_survival_probabilities(
     ``i``, ``P_i = sum_s w_i(s) * prod_{j != i} Pr[dist(j) > D[.., i, s]]``
     with the half-weight tie convention and a final clamp to
     ``[0, 1]``.  ``eval_slots`` restricts which candidate slots are
-    evaluated (all still compete); columns follow its order.
+    evaluated (all still compete); columns follow its order.  Each row
+    is computed on its own: only rows with tied distances take the
+    tie-aware path, so a row's answer does not depend on its batch.
     """
     B, n, _m = D.shape
-    fast = _log_products(D, W)
-    if fast is not None:
-        prod, own, w_needle = fast
-        contrib = w_needle * prod
-    else:
-        # Tied inputs: exact materialized survival tensor.
-        S, own, w_needle, _ = _survival_core(D, W)
-        assert own is not None
+    prod, own, w_needle, tied = _log_products(D, W)
+    contrib = w_needle * prod
+    if tied.any():
+        # Tied rows: exact materialized survival tensor.
+        S, own_t, w_t, _ = _survival_core(D[tied], W)
+        assert own_t is not None
         # A candidate never competes against itself.
-        np.put_along_axis(S, own[:, None, :], 1.0, axis=1)
-        contrib = w_needle * S.prod(axis=1)
+        np.put_along_axis(S, own_t[:, None, :], 1.0, axis=1)
+        own[tied] = own_t
+        contrib[tied] = w_t * S.prod(axis=1)
     if eval_slots is None:
         out_slot = own
         n_out = n
@@ -433,14 +437,15 @@ def survival_products(
     D: np.ndarray, W: np.ndarray, radii: np.ndarray
 ) -> np.ndarray:
     """``(B, K)`` product over all candidates of their survival at
-    ``radii`` (an external needle grid), in ``radii``'s column order."""
-    fast = _log_products(D, W, radii)
-    if fast is not None:
-        prod, colid, _w = fast
-    else:
-        # Tied inputs: exact materialized survival tensor.
-        S, _own, _w2, colid = _survival_core(D, W, radii)
-        prod = S.prod(axis=1)
+    ``radii`` (an external needle grid), in ``radii``'s column order.
+    Rows are computed on their own, like
+    :func:`element_survival_probabilities`."""
+    prod, colid, _w, tied = _log_products(D, W, radii)
+    if tied.any():
+        # Tied rows: exact materialized survival tensor.
+        S, _own, _w2, colid_t = _survival_core(D[tied], W, radii[tied])
+        prod[tied] = S.prod(axis=1)
+        colid[tied] = colid_t
     out = np.empty_like(prod)
     np.put_along_axis(out, colid, prod, axis=1)
     return out
@@ -485,14 +490,15 @@ def instance_distance_matrix(
 # ----------------------------------------------------------------------
 # The Step-2 kernel
 # ----------------------------------------------------------------------
-def _chunk_rows(b: int, n: int, m: int, chunk_bytes: int) -> int:
-    """Query rows per chunk keeping the working set under the cap.
+def _chunk_rows(b: int, n: int, m: int) -> int:
+    """Query rows per numpy chunk keeping the working set under
+    :data:`KERNEL_CHUNK_BYTES`.
 
     The budget is dominated by the ``(rows, n, n * m)`` cumulative
     table; the tie-aware path may materialize ~3 tensors of that shape.
     """
     per_row = 8 * (3 * n + 8) * n * m
-    return max(1, min(b, chunk_bytes // max(per_row, 1)))
+    return max(1, min(b, KERNEL_CHUNK_BYTES // max(per_row, 1)))
 
 
 def batched_qualification_probabilities(
@@ -502,7 +508,6 @@ def batched_qualification_probabilities(
     evaluate_ids: list[int] | None = None,
     *,
     stats: ExecutionStats | None = None,
-    chunk_bytes: int | None = None,
 ) -> list[dict[int, float]]:
     """Step 2 for one candidate set and a ``(b, d)`` block of queries.
 
@@ -517,11 +522,14 @@ def batched_qualification_probabilities(
     competitor in the survival products, so the returned values are
     exact (used by bound-based pruning to skip known losers).
 
-    ``stats`` receives the kernel's gather/eval wall-clock split
-    (``kernel_gather_seconds`` / ``kernel_eval_seconds``);
-    ``chunk_bytes`` overrides :data:`KERNEL_CHUNK_BYTES`.
+    When the compiled loops are built (:mod:`repro.core.sekernel`), one
+    C call walks every row straight off the instance store; the rows
+    it flags as tied, or every row without the library, go through the
+    numpy kernel on a gathered block.  ``stats`` receives the
+    gather/eval wall-clock split (``kernel_gather_seconds``: the store
+    lookups and gathers; ``kernel_eval_seconds``: distances and walks).
     """
-    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    Q = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float64)
     b = len(Q)
     if not candidate_ids:
         return [{} for _ in range(b)]
@@ -538,34 +546,51 @@ def batched_qualification_probabilities(
         row = {only: 1.0} if only in evaluate_ids else {}
         return [dict(row) for _ in range(b)]
 
-    t0 = time.perf_counter()
-    block = dataset.instance_store().gather(candidate_ids)
-    t_gather = time.perf_counter() - t0
-
-    n, m = block.weights.shape
-    slot_of = {oid: i for i, oid in enumerate(candidate_ids)}
-    eval_slots = (
-        None
-        if len(evaluate_ids) == len(candidate_ids)
-        and evaluate_ids == list(candidate_ids)
-        else np.fromiter(
+    n, n_eval = len(candidate_ids), len(evaluate_ids)
+    if evaluate_ids == list(candidate_ids):
+        eval_slots = None
+        column = np.arange(n, dtype=np.int64)
+    else:
+        slot_of = {oid: i for i, oid in enumerate(candidate_ids)}
+        eval_slots = np.fromiter(
             (slot_of[oid] for oid in evaluate_ids),
             dtype=np.int64,
-            count=len(evaluate_ids),
+            count=n_eval,
         )
-    )
+        column = np.full(n, -1, dtype=np.int64)
+        column[eval_slots] = np.arange(n_eval)
 
-    t1 = time.perf_counter()
-    P = np.empty((b, len(evaluate_ids)))
-    step = _chunk_rows(b, n, m, chunk_bytes or KERNEL_CHUNK_BYTES)
-    for lo in range(0, b, step):
-        D = _distance_tensor(block.instances, Q[lo : lo + step])
-        P[lo : lo + step] = element_survival_probabilities(
-            D, block.weights, eval_slots
+    store = dataset.instance_store()
+    t_gather = t_eval = 0.0
+    if sekernel.load() is not None:
+        t0 = time.perf_counter()
+        instances, weights, starts, lengths = store.rows(candidate_ids)
+        t1 = time.perf_counter()
+        P, tied = sekernel.step2_walk(
+            instances, weights, starts, lengths, Q, column, n_eval
         )
+        t_gather += t1 - t0
+        t_eval += time.perf_counter() - t1
+        rest = np.flatnonzero(tied)
+    else:
+        P = np.empty((b, n_eval))
+        rest = np.arange(b)
+    if len(rest):
+        t0 = time.perf_counter()
+        block = store.gather(candidate_ids)
+        t1 = time.perf_counter()
+        step = _chunk_rows(len(rest), n, block.weights.shape[1])
+        for lo in range(0, len(rest), step):
+            part = rest[lo : lo + step]
+            D = _distance_tensor(block.instances, Q[part])
+            P[part] = element_survival_probabilities(
+                D, block.weights, eval_slots
+            )
+        t_gather += t1 - t0
+        t_eval += time.perf_counter() - t1
     if stats is not None:
         stats.kernel_gather_seconds += t_gather
-        stats.kernel_eval_seconds += time.perf_counter() - t1
+        stats.kernel_eval_seconds += t_eval
 
     return [
         {

@@ -289,11 +289,15 @@ def _worker_main(
     only ever sees fences (or an immediate ``stop``) never maps the
     image at all.  The main loop is the pipe's only sender.
     """
+    from ..core import sekernel
     from ..testing import faults as _faults
 
     plan = config.get("fault_plan")
     if plan is not None:
         _faults.arm(plan)
+    # Build the compiled loops before serving the pipe, so no chunk
+    # (and no stall budget) pays for the compiler run.
+    sekernel.load()
     state: _WorkerState | None = None
     try:
         while True:

@@ -238,13 +238,14 @@ class InstanceStore:
     # ------------------------------------------------------------------
     # The kernel's entry point
     # ------------------------------------------------------------------
-    def gather(self, ids: Sequence[int]) -> GatherBlock:
-        """Dense padded ``(n, m_max, d)`` block for a candidate set.
+    def _row_ranges(
+        self, ids: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """First packed row and instance count of each object.
 
-        One fancy-index into the packed matrix replaces per-object
-        attribute walks.  Raises when the store no longer reflects the
-        dataset (mutated without maintenance) — stale pdfs must never
-        feed a probability computation.
+        Raises when the store no longer reflects the dataset (mutated
+        without maintenance) — stale pdfs must never feed a
+        probability computation.
         """
         from .dataset import check_index_in_sync
 
@@ -256,7 +257,30 @@ class InstanceStore:
             count=len(ids),
         )
         starts = self._offsets[slots]
-        lengths = self._offsets[slots + 1] - starts
+        return starts, self._offsets[slots + 1] - starts
+
+    def rows(
+        self, ids: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(instances, weights, starts, lengths)`` for a candidate set.
+
+        The live packed ``(total_samples, d)`` matrix and aligned
+        weights, read in place, plus each object's first row and
+        instance count: what the compiled Step-2 walk reads instead of
+        a padded :meth:`gather` block.  Same sync check as
+        :meth:`gather`.
+        """
+        starts, lengths = self._row_ranges(ids)
+        return self.instances, self.weights, starts, lengths
+
+    def gather(self, ids: Sequence[int]) -> GatherBlock:
+        """Dense padded ``(n, m_max, d)`` block for a candidate set.
+
+        One fancy-index into the packed matrix replaces per-object
+        attribute walks.  Raises when the store no longer reflects the
+        dataset, like :meth:`rows`.
+        """
+        starts, lengths = self._row_ranges(ids)
         m_max = int(lengths.max()) if len(lengths) else 0
         # Padding replicates each object's last row; its weight is
         # zeroed below, making the pad invisible to every consumer.

@@ -300,16 +300,16 @@ class TestSurface:
         executed = getattr(db, kind)(query).plan
         assert db.explain(kind).params == executed.params
 
-    def test_describe_names_the_se_kernel(self, db, monkeypatch):
-        """describe() says which SE loop PV builds and maintenance run
-        on: the compiled one when it built in this process."""
-        import repro.core.se as se_module
+    def test_describe_names_the_kernel(self, db, monkeypatch):
+        """describe() says whether the compiled loops (SE and the
+        Step-2 walk) run: "c" when the library built in this process."""
         from repro.core import sekernel
 
         built = sekernel.load() is not None
-        assert db.describe()["se_kernel"] == ("c" if built else "numpy")
-        monkeypatch.setattr(se_module, "kernel_name", lambda: "numpy")
-        assert db.describe()["se_kernel"] == "numpy"
+        assert db.describe()["kernel"] == ("c" if built else "numpy")
+        assert "se_kernel" not in db.describe()
+        monkeypatch.setattr(sekernel, "load", lambda: None)
+        assert db.describe()["kernel"] == "numpy"
 
     def test_repr(self, db):
         text = repr(db)

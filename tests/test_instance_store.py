@@ -153,6 +153,29 @@ class TestEpochInvalidation:
         with pytest.raises(ValueError, match="stale"):
             detached.gather(ds.ids[:2])
 
+    def test_detached_rows_raise_after_bypassed_mutation(self):
+        ds = _variable_dataset(8)
+        detached = InstanceStore(ds)
+        detached.rows(ds.ids[:2])
+        ds.insert(_make_object(902, np.random.default_rng(81)))
+        with pytest.raises(ValueError, match="stale"):
+            detached.rows(ds.ids[:2])
+
+    def test_rows_are_the_packed_ranges_gather_pads(self):
+        ds = _variable_dataset(11)
+        store = ds.instance_store()
+        ids = ds.ids[3:9]
+        instances, weights, starts, lengths = store.rows(ids)
+        block = store.gather(ids)
+        np.testing.assert_array_equal(lengths, block.lengths)
+        for i, oid in enumerate(ids):
+            lo, hi = starts[i], starts[i] + lengths[i]
+            np.testing.assert_array_equal(instances[lo:hi], ds[oid].instances)
+            np.testing.assert_array_equal(weights[lo:hi], ds[oid].weights)
+            np.testing.assert_array_equal(
+                block.instances[i, : lengths[i]], instances[lo:hi]
+            )
+
     def test_owned_store_never_goes_stale(self):
         ds = _variable_dataset(9)
         store = ds.instance_store()

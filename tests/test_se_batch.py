@@ -386,7 +386,7 @@ def fallback_report():
         digest.update(str(r.iterations).encode())
     counters = [str(getattr(se.stats, name)) for name in COUNTERS]
     kernel = se_module.kernel_name()
-    return [kernel, Database(ds).describe()["se_kernel"],
+    return [kernel, Database(ds).describe()["kernel"],
             digest.hexdigest(), *counters]
 
 

@@ -1,4 +1,4 @@
-"""Differential tests: tensorized Step-2 kernel vs the retained reference.
+"""Differential tests: the Step-2 kernels vs the retained reference.
 
 The packed-store kernel in :mod:`repro.engine.batch` must agree with
 the pre-tensorization implementations (``tests/reference_step2.py``)
@@ -7,7 +7,15 @@ candidates, batched query blocks, duplicated/tied distances, objects
 with differing instance counts (exercising the store's zero-weight
 padding), ``evaluate_ids`` subsets, and the degenerate empty/single
 candidate cases — and through all seven engines.
+
+The compiled log walk (``engine/step2_kernel.c``) must also agree with
+the numpy kernel to 1e-12, and on both paths a row's answer must be
+bit-identical whatever other rows share its call (only tied rows take
+the tie-aware path).  Without a C compiler (e.g. ``CC=false``) only
+the numpy kernel runs and the C-only asserts skip.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -33,11 +41,22 @@ from repro.core import (
     probability_bounds,
     qualification_probabilities,
 )
-from repro.engine import batched_qualification_probabilities
+from repro.core import sekernel
+from repro.engine import (
+    batched_qualification_probabilities,
+    element_survival_probabilities,
+    survival_products,
+)
 from repro.geometry import Rect
 from repro.uncertain import UncertainDataset, UncertainObject
 
 TOL = 1e-9
+#: Compiled walk against the numpy kernel: libm and numpy round some
+#: ``log``/``exp`` results one ulp apart.
+C_TOL = 1e-12
+
+#: The compiled walk builds wherever a C compiler is installed.
+HAVE_C = sekernel.load() is not None
 
 
 def _assert_close(new: dict, ref: dict) -> None:
@@ -126,7 +145,7 @@ class TestKernelDifferential:
         )
         q = ds.domain.sample_points(4, np.random.default_rng(3))
         ids = ds.ids[:14]
-        for ev in (ids[2:7], [ids[0]], ids):
+        for ev in (ids[2:7], [ids[0]], [ids[9], ids[0]], ids):
             new = batched_qualification_probabilities(
                 ds, ids, q, evaluate_ids=ev
             )
@@ -368,3 +387,158 @@ class TestEnginesDifferential:
             + engine.stats.kernel_eval_seconds
             <= engine.stats.probability_computation + 1e-6
         )
+
+
+# ----------------------------------------------------------------------
+# Tied rows take the tie path alone, on both paths
+# ----------------------------------------------------------------------
+def _two_row_tensor(seed: int = 0):
+    """A 2-row distance tensor (n=4, m=50) whose row 1 has one
+    cross-candidate tie; row 0 has none."""
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(0.0, 10.0, (2, 4, 50))
+    D[1, 2, 5] = D[1, 0, 7]
+    W = rng.uniform(0.1, 1.0, (4, 50))
+    W /= W.sum(axis=1, keepdims=True)
+    return D, W
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_element_mode_routes_only_tied_rows(seed):
+    D, W = _two_row_tensor(seed)
+    both = element_survival_probabilities(D, W)
+    assert np.array_equal(both[0], element_survival_probabilities(D[:1], W)[0])
+    assert np.array_equal(both[1], element_survival_probabilities(D[1:], W)[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_radii_mode_routes_only_tied_rows(seed):
+    D, W = _two_row_tensor(seed)
+    radii = np.random.default_rng(seed + 10).uniform(0.0, 10.0, (2, 30))
+    both = survival_products(D, W, radii)
+    assert np.array_equal(both[0], survival_products(D[:1], W, radii[:1])[0])
+    assert np.array_equal(both[1], survival_products(D[1:], W, radii[1:])[0])
+
+
+# ----------------------------------------------------------------------
+# The compiled walk against the numpy kernel and the reference
+# ----------------------------------------------------------------------
+def _numpy_path(*args, **kwargs):
+    """``batched_qualification_probabilities`` without the library."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sekernel, "load", lambda: None)
+        return batched_qualification_probabilities(*args, **kwargs)
+
+
+@st.composite
+def step2_cases(draw):
+    """A dataset, candidate ids and a query block covering the walk's
+    edge cases: unequal instance counts (store padding), d in 1..3,
+    duplicate instances within a candidate, cross-candidate ties (on
+    an integer grid every row can tie, or copied instances tie every
+    row), single-instance pdfs and coordinates offset by 1e12."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 40))
+    d = draw(st.sampled_from([1, 2, 3]))
+    single = draw(st.booleans())
+    grid = draw(st.booleans())
+    dup = draw(st.booleans())
+    copy_tie = draw(st.booleans())
+    offset = draw(st.sampled_from([0.0, 1e12]))
+    b = draw(st.integers(1, 5))
+    rng = np.random.default_rng(seed)
+    objs = []
+    for oid in range(n):
+        m = 1 if single else int(rng.integers(1, 10))
+        center = rng.uniform(0.0, 20.0, d)
+        inst = center + rng.uniform(-3.0, 3.0, (m, d))
+        if grid:
+            inst = np.round(inst)
+        if dup and m > 1:
+            inst[-1] = inst[0]
+        if copy_tie and oid == 1:
+            inst[0] = objs[0].instances[0] - offset
+        w = rng.uniform(0.1, 1.0, m)
+        w /= w.sum()
+        inst = inst + offset
+        objs.append(
+            UncertainObject(oid, Rect(inst.min(axis=0), inst.max(axis=0)),
+                            inst, w)
+        )
+    domain = Rect(np.full(d, offset - 10.0), np.full(d, offset + 30.0))
+    ds = UncertainDataset(objs, domain=domain)
+    q = rng.uniform(-5.0, 25.0, (b, d))
+    if grid:
+        q = np.round(q)
+    return ds, q + offset
+
+
+@pytest.mark.skipif(not HAVE_C, reason="the compiled Step-2 walk did not build")
+@given(step2_cases())
+@settings(max_examples=60, deadline=None)
+def test_compiled_walk_differential(case):
+    ds, q = case
+    ids = ds.ids
+    numpy_rows = _numpy_path(ds, ids, q)
+    numpy_alone = [_numpy_path(ds, ids, q[i : i + 1])[0] for i in range(len(q))]
+    c_rows = batched_qualification_probabilities(ds, ids, q)
+    c_alone = [
+        batched_qualification_probabilities(ds, ids, q[i : i + 1])[0]
+        for i in range(len(q))
+    ]
+    ref = reference_qualification_probabilities(ds, ids, q)
+    for c, c1, nr, nr1, r in zip(c_rows, c_alone, numpy_rows, numpy_alone,
+                                 ref):
+        assert c == c1 and nr == nr1  # bit-identical alone and in a batch
+        for oid in r:
+            assert c[oid] == pytest.approx(nr[oid], abs=C_TOL), oid
+            assert c[oid] == pytest.approx(r[oid], abs=TOL), oid
+
+
+@pytest.mark.skipif(not HAVE_C, reason="the compiled Step-2 walk did not build")
+def test_tied_rows_match_the_numpy_path_exactly():
+    """Rows the walk flags as tied go through the numpy tie path, so
+    they are the numpy kernel's answers bit for bit."""
+    ds = tied_dataset(1)
+    q = np.array([[1.0, 2.0], [5.0, 5.0], [40.0, -3.0]])
+    inst, w, starts, lengths = ds.instance_store().rows(ds.ids)
+    _P, tied = sekernel.step2_walk(
+        inst, w, starts, lengths, q, np.arange(len(ds.ids)), len(ds.ids)
+    )
+    assert tied.all()  # objects 0 and 1 share every instance
+    assert batched_qualification_probabilities(ds, ds.ids, q) == _numpy_path(
+        ds, ds.ids, q
+    )
+
+
+@pytest.mark.skipif(not HAVE_C, reason="the compiled Step-2 walk did not build")
+def test_concurrent_calls_match_serial_calls():
+    """ctypes drops the GIL during the walk: two threads running it at
+    once must get exactly the serial answers (no shared scratch)."""
+    ds = synthetic_dataset(n=60, dims=2, u_max=900, n_samples=300, seed=8)
+    rng = np.random.default_rng(8)
+    blocks = [ds.domain.sample_points(16, rng) for _ in range(2)]
+    ids = ds.ids[:30]
+    serial = [batched_qualification_probabilities(ds, ids, q) for q in blocks]
+    results: list = [None, None]
+    errors: list = []
+    start = threading.Barrier(2)
+
+    def worker(i: int) -> None:
+        try:
+            start.wait()
+            results[i] = [
+                batched_qualification_probabilities(ds, ids, blocks[i])
+                for _ in range(4)
+            ]
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    for i in range(2):
+        assert all(run == serial[i] for run in results[i])
