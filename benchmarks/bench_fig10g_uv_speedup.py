@@ -4,7 +4,7 @@ Paper result: the PV-index builds 15-25x faster than the UV-index on 2D
 data.  Our UV substitute shares the fast domination machinery instead of
 [9]'s costly hyperbola intersections, so the measured factor is smaller;
 the direction (PV faster) and its cause (per-object boundary refinement
-in the UV-index) are preserved.  See EXPERIMENTS.md.
+in the UV-index) are preserved.
 """
 
 from repro.bench import figures

@@ -91,7 +91,7 @@ def run_tier(params: dict, mode: str, workers: int):
 
     The warm-up burst is large enough to scatter one coalesced group
     across every pool worker, so per-worker lazy initialisation
-    (image attach, octree shard layout build) happens off the
+    (image attach, STR shard layout build) happens off the
     clock — the measurement is steady-state serving only.
     """
     db = make_db(params["n_objects"], params["n_samples"])

@@ -3,7 +3,7 @@
 Two dataclasses:
 
 * :class:`PaperDefaults` — the exact values of Table I of the paper, for
-  reference and for EXPERIMENTS.md reporting.
+  reference.
 * :class:`BenchScale` — the values the benchmarks actually run at.  The
   paper's C++ implementation handles |S| up to 100k objects with 500 pdf
   samples each; pure Python is two orders of magnitude slower on

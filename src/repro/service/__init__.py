@@ -21,16 +21,17 @@ dataset epoch (tagged on its future and result).
 ``db.serve(workers=N, mode="process")`` swaps in the
 :class:`ProcessPoolServer` — same surface and contract, but groups
 execute in worker *processes* that memory-map one packed image of the
-instance store, with Step 1 sharded and scatter-gathered
-(:mod:`repro.service.shards`) and mutations applied as pool-wide
-re-attach fences (:mod:`repro.service.procpool`).
+instance store, with Step 1 split over sort-tile-recursive shards of
+the region centres and scatter-gathered (:mod:`repro.service.shards`)
+and mutations applied as pool-wide re-attach fences
+(:mod:`repro.service.procpool`).
 """
 
 from .future import FutureTimeout, QueryFuture, QueryTimeout, as_completed
 from .procpool import ProcessPoolServer, WorkerDied, WorkerStalled
 from .scheduler import CoalescingScheduler, SchedulerClosed, SchedulerStats
 from .server import Session, UncertainDBServer
-from .shards import Shard, ShardLayout, ShardedRetriever
+from .shards import ShardLayout, ShardedRetriever
 from .subscriptions import (
     Revision,
     RevisionOverflow,
@@ -50,7 +51,6 @@ __all__ = [
     "SchedulerClosed",
     "SchedulerStats",
     "Session",
-    "Shard",
     "ShardLayout",
     "ShardedRetriever",
     "Subscription",

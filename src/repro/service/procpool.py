@@ -24,9 +24,12 @@ Execution model
   single-dispatch answers exactly.
 * Workers answer Step 1 through the sharded scatter-gather retriever
   (:class:`~repro.service.shards.ShardedRetriever`) unless the query
-  forces ``"brute"`` — per-shard MBR bounds prune dominated shards
-  before any member distance is computed, and the counters travel
-  back on each result's :class:`~repro.engine.ExecutionStats`.
+  forces ``"brute"``.  The shards are sort-tile-recursive tiles of
+  the region centres, cut by a few argsorts on a worker's first
+  sharded query after each attach; per-shard MBR bounds prune
+  dominated shards before any member distance is computed, and the
+  counters travel back on each result's
+  :class:`~repro.engine.ExecutionStats`.
 * A mutation barrier becomes a **pool-wide fence**: the scheduler
   already guarantees exclusivity (no reads in flight), so the parent
   applies the mutation, exports a fresh image at the new epoch,
@@ -400,8 +403,9 @@ class ProcessPoolServer(UncertainDBServer):
     ``db.serve(mode="process")``.  Same client surface, same
     consistency contract (epoch barriers, bit-identical answers) —
     but group execution happens in worker processes that map one
-    packed image of the instance store, with Step 1 sharded
-    (:data:`~repro.service.shards.DEFAULT_SHARDS` target shards) and
+    packed image of the instance store, with Step 1 split over
+    sort-tile-recursive tiles of the region centres
+    (:data:`~repro.service.shards.TARGET_SHARDS` target shards) and
     scatter-gathered (see the module docstring).
 
     Parameters

@@ -35,31 +35,8 @@ def _datasets():
 # ----------------------------------------------------------------------
 # Layout invariants
 # ----------------------------------------------------------------------
-def test_layout_is_a_disjoint_cover():
-    for name, ds in _datasets():
-        layout = ShardLayout.build(ds, 8)
-        positions = np.concatenate([s.positions for s in layout.shards])
-        assert len(positions) == len(ds), name
-        assert len(set(positions.tolist())) == len(ds), name
-        ids, los, his = ds.packed_regions()
-        for shard in layout.shards:
-            assert np.array_equal(shard.ids, ids[shard.positions])
-            assert np.array_equal(shard.los, los[shard.positions])
-            # The member MBR bounds every member region.
-            assert (shard.mbr_lo <= shard.los).all()
-            assert (shard.mbr_hi >= shard.his).all()
-
-
-def test_octree_method_used_on_separable_data():
-    ds = synthetic_dataset(n=300, dims=2, seed=1, n_samples=5)
-    layout = ShardLayout.build(ds, 8)
-    assert layout.method == "octree"
-    assert len(layout) > 1
-
-
 def _coincident_dataset(n: int) -> UncertainDataset:
-    """Objects sharing one region: every center coincides, so the
-    octree cannot separate them."""
+    """Objects sharing one region: every centre coincides."""
     rng = np.random.default_rng(15)
     region = Rect(np.array([400.0, 400.0]), np.array([600.0, 600.0]))
     objects = []
@@ -71,23 +48,52 @@ def _coincident_dataset(n: int) -> UncertainDataset:
     )
 
 
-def test_hash_fallback_on_tiny_dataset():
-    # Fewer than two objects per target shard, or centers the octree
-    # cannot separate: object ids are hashed instead.
-    tiny = synthetic_dataset(n=6, dims=2, seed=4, n_samples=3)
-    for ds, n_shards in ((tiny, 8), (_coincident_dataset(60), 4)):
-        layout = ShardLayout.build(ds, n_shards)
-        assert layout.method == "hash"
-        assert len(layout) == min(n_shards, len(ds))
-        positions = np.concatenate([s.positions for s in layout.shards])
-        assert len(set(positions.tolist())) == len(ds)
+def _degenerate_datasets():
+    """Inputs with nothing to split spatially: all centres coincident,
+    fewer objects than tiles, and a single object."""
+    return [
+        ("coincident", _coincident_dataset(60)),
+        ("below-tile-count", synthetic_dataset(n=6, dims=2, seed=4,
+                                               n_samples=3)),
+        ("below-tile-count-3d", synthetic_dataset(n=40, dims=3, seed=5,
+                                                  n_samples=3)),
+        ("one-object", synthetic_dataset(n=1, dims=2, seed=8,
+                                         n_samples=3)),
+    ]
+
+
+def test_layout_is_a_disjoint_cover():
+    for name, ds in _datasets() + _degenerate_datasets():
+        layout = ShardLayout.build(ds)
+        ids, los, his = ds.packed_regions()
+        slices = [layout.shard(s) for s in range(len(layout))]
+        # Every packed row sits in exactly one (non-empty) shard slice.
+        assert all(sl.stop > sl.start for sl in slices), name
+        positions = np.concatenate([layout.positions[sl] for sl in slices])
+        assert sorted(positions.tolist()) == list(range(len(ds))), name
+        assert np.array_equal(layout.ids, ids[layout.positions]), name
+        assert np.array_equal(layout.los, los[layout.positions]), name
+        assert np.array_equal(layout.his, his[layout.positions]), name
+        for s, sl in enumerate(slices):
+            # The shard MBR bounds every member region.
+            assert (layout.mbr_los[s] <= layout.los[sl]).all(), name
+            assert (layout.mbr_his[s] >= layout.his[sl]).all(), name
+
+
+def test_tile_count_follows_dimension():
+    # ceil(32 ** (1 / d)) slabs per dimension: 36 tiles at d=2 and 64
+    # at d=3 once there are enough objects to fill them.
+    for name, ds in _datasets():
+        want = 36 if ds.dims == 2 else 64
+        assert len(ShardLayout.build(ds)) == want, name
 
 
 def test_single_shard_layout_is_valid():
-    ds = synthetic_dataset(n=50, dims=2, seed=9, n_samples=3)
-    layout = ShardLayout.build(ds, 1)
+    ds = synthetic_dataset(n=1, dims=2, seed=9, n_samples=3)
+    layout = ShardLayout.build(ds)
     assert len(layout) == 1
-    assert len(layout.shards[0]) == len(ds)
+    assert layout.shard(0) == slice(0, 1)
+    assert layout.ids.tolist() == ds.ids
 
 
 # ----------------------------------------------------------------------
@@ -110,26 +116,17 @@ def test_candidates_bit_identical_to_brute_force():
         )
 
 
-def test_bit_identical_under_hash_layout():
-    # Fewer than two objects per target shard: the octree is skipped.
-    ds = synthetic_dataset(n=40, dims=2, seed=5, n_samples=4)
-    layout = ShardLayout.build(ds, 32)
-    assert layout.method == "hash"
+def test_bit_identical_on_degenerate_datasets():
     rng = np.random.default_rng(12)
-    queries = rng.uniform(ds.domain.lo, ds.domain.hi, size=(16, 2))
-    brute = BruteForceRetriever(ds)
-    sharded = ShardedRetriever(ds, layout=layout)
-    assert sharded.candidates_batch(queries) == [
-        brute.candidates(q) for q in queries
-    ]
-    coincident = _coincident_dataset(60)
-    sharded = ShardedRetriever(
-        coincident, layout=ShardLayout.build(coincident, 4)
-    )
-    brute = BruteForceRetriever(coincident)
-    assert sharded.candidates_batch(queries) == [
-        brute.candidates(q) for q in queries
-    ]
+    for name, ds in _degenerate_datasets():
+        queries = rng.uniform(
+            ds.domain.lo, ds.domain.hi, size=(16, ds.dims)
+        )
+        brute = BruteForceRetriever(ds)
+        sharded = ShardedRetriever(ds)
+        assert sharded.candidates_batch(queries) == [
+            brute.candidates(q) for q in queries
+        ], name
 
 
 def test_queries_at_domain_corners_and_centers():
