@@ -28,9 +28,9 @@ _COLLECTED: dict[str, str] = {}
 
 @pytest.fixture(scope="session", autouse=True)
 def compiled_loops() -> None:
-    """Build the compiled loops (SE and the Step-2 walk) before any
-    benchmark starts a clock: a first call that paid the compiler run
-    would put it inside a timed region."""
+    """Build the compiled loops (C-set selection, SE and the Step-2
+    walk) before any benchmark starts a clock: a first call that paid
+    the compiler run would put it inside a timed region."""
     from repro.core import sekernel
 
     sekernel.load()

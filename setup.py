@@ -1,7 +1,7 @@
 """Packaging for the ``repro`` library (sources under ``src/``).
 
-The C sources of the compiled Shrink-and-Expand loop and Step-2 log
-walk ship as package data: ``repro.core.sekernel`` compiles them on
+The C sources of the three compiled loops (C-set selection,
+Shrink-and-Expand row loop, Step-2 log walk) ship as package data: ``repro.core.sekernel`` compiles them on
 first use in the installed copy, so a build without them would run
 the numpy fallbacks silently.  ``wheel`` is optional;
 ``python setup.py build`` and

@@ -874,10 +874,11 @@ class Database:
         """A structured snapshot of the session's live state.
 
         Covers the dataset (size, dims, epoch), which index handles
-        are built, whether the compiled loops (the Shrink-and-Expand
-        row loop of PV-index builds and maintenance, and the Step-2 log
-        walk) run in this process (``"kernel"``: ``"c"`` or
-        ``"numpy"``; one build decides both),
+        are built, whether the three compiled loops (the C-set
+        selection and the Shrink-and-Expand row loop of PV-index builds
+        and maintenance, and the Step-2 log walk) run in this process
+        (``"kernel"``: ``"c"`` or ``"numpy"``; one build decides all
+        three),
         durability and serving status, and — when standing
         subscriptions exist — their live counts and per-subscription
         emit/suppress counters.

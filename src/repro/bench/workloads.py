@@ -19,6 +19,7 @@ from ..core import (
     PNNQEngine,
     PVIndex,
     SEConfig,
+    sekernel,
 )
 from ..rtree import RTreePNNQ
 from ..storage import OctreeConfig, Pager
@@ -155,6 +156,9 @@ def build_pv_bundle(
     m_max: int | None = None,
 ) -> IndexBundle:
     """PV-index bundle: build, wire PNNQ engine, record build time."""
+    # The first build of a process would otherwise time the compiler
+    # run of the compiled loops (inside its first C-set choice).
+    sekernel.load()
     pager = Pager(page_size=SCALE.page_size)
     index = PVIndex.build(
         dataset,

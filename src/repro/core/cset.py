@@ -16,17 +16,31 @@ Three strategies from the paper:
   shrink anything), and spreads the selection
   over the ``2^d`` quadrants around ``o``'s mean until each quadrant has
   ``kpartition`` members or ``kglobal`` neighbors were scanned.
+
+Every strategy chooses for a block of objects at once
+(:meth:`CSetStrategy.choose_many`; :meth:`~CSetStrategy.choose` is a
+block of one).  FS and IS pick a whole block in one call of the
+compiled selection (``cset_kernel.c``, one of the three loops of the
+library :mod:`repro.core.sekernel` builds, next to the SE row loop and
+the Step-2 walk): it reads the packed regions in place, selects the
+first ``k`` / ``kglobal`` ranked rows in O(n) instead of sorting all n,
+and returns exactly the C-sets of the numpy code below.  That numpy
+code runs when the library did not build (``CC=false``) and is the
+compiled selection's test oracle; ``Database.describe()["kernel"]``
+says which one is in use.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..geometry import corner_bits, mindist_sq_point_rects
 from ..uncertain import UncertainDataset, UncertainObject
+from . import sekernel
 
 __all__ = [
     "CSet",
@@ -75,16 +89,28 @@ class CSet:
         )
 
 
+#: Which selection FS and IS run (:func:`repro.core.sekernel.kernel_name`);
+#: a module global so tests can pin it to one implementation.
+kernel_name = sekernel.kernel_name
+
+
 class CSetStrategy(ABC):
     """Interface of a ``chooseCSet`` implementation."""
 
     name: str = "abstract"
 
     @abstractmethod
+    def choose_many(
+        self, objs: Sequence[UncertainObject], dataset: UncertainDataset
+    ) -> list[CSet]:
+        """Candidate sets for the SE runs of ``objs``, in order (each
+        must exclude its object)."""
+
     def choose(
         self, obj: UncertainObject, dataset: UncertainDataset
     ) -> CSet:
-        """Candidate set for the object's SE run (must exclude ``obj``)."""
+        """Candidate set for the object's SE run (excludes ``obj``)."""
+        return self.choose_many([obj], dataset)[0]
 
 
 class AllCSet(CSetStrategy):
@@ -92,12 +118,40 @@ class AllCSet(CSetStrategy):
 
     name = "ALL"
 
-    def choose(
-        self, obj: UncertainObject, dataset: UncertainDataset
-    ) -> CSet:
+    def choose_many(
+        self, objs: Sequence[UncertainObject], dataset: UncertainDataset
+    ) -> list[CSet]:
         ids, los, his = dataset.packed_regions()
-        mask = ids != obj.oid
-        return CSet(ids=ids[mask], los=los[mask], his=his[mask])
+        out = []
+        for obj in objs:
+            mask = ids != obj.oid
+            out.append(CSet(ids=ids[mask], los=los[mask], his=his[mask]))
+        return out
+
+
+def _select_compiled(
+    objs: Sequence[UncertainObject],
+    dataset: UncertainDataset,
+    limit: int,
+    kpartition: int,
+) -> list[CSet]:
+    """FS (``kpartition == 0``) or IS C-sets of ``objs`` from one call
+    of the compiled selection (:func:`repro.core.sekernel.select_csets`)."""
+    ids, los, his = dataset.packed_regions()
+    rows, counts = sekernel.select_csets(
+        ids, los, his,
+        np.array([o.oid for o in objs], dtype=np.int64),
+        np.array([o.region.lo for o in objs], dtype=np.float64),
+        np.array([o.region.hi for o in objs], dtype=np.float64),
+        limit, kpartition,
+    )
+    c_ids, c_los, c_his = ids[rows], los[rows], his[rows]
+    out, start = [], 0
+    for stop in np.cumsum(counts).tolist():
+        out.append(CSet(c_ids[start:stop], c_los[start:stop],
+                        c_his[start:stop]))
+        start = stop
+    return out
 
 
 def rank_by_mean(
@@ -151,7 +205,14 @@ class FixedSelection(CSetStrategy):
             raise ValueError("k must be >= 1")
         self.k = k
 
-    def choose(
+    def choose_many(
+        self, objs: Sequence[UncertainObject], dataset: UncertainDataset
+    ) -> list[CSet]:
+        if kernel_name() == "c":
+            return _select_compiled(objs, dataset, self.k, 0)
+        return [self._choose_numpy(obj, dataset) for obj in objs]
+
+    def _choose_numpy(
         self, obj: UncertainObject, dataset: UncertainDataset
     ) -> CSet:
         ids, los, his = dataset.packed_regions()
@@ -164,9 +225,11 @@ class IncrementalSelection(CSetStrategy):
 
     Examines the ``kglobal`` nearest objects (by mean) in order, skips
     those overlapping ``u(o)``, and stops after the first selection that
-    gives every quadrant ``kpartition`` members.  The walk is evaluated
-    at once: a cumulative sum over the touched-quadrant mask of the
-    examined prefix finds the stopping point.
+    gives every quadrant ``kpartition`` members.  The compiled
+    selection walks the prefix row by row with one counter per quadrant;
+    the numpy fallback evaluates the walk at once: a cumulative sum over
+    the touched-quadrant mask of the examined prefix finds the stopping
+    point.
 
     Parameters
     ----------
@@ -188,7 +251,16 @@ class IncrementalSelection(CSetStrategy):
         self.kpartition = kpartition
         self.kglobal = kglobal
 
-    def choose(
+    def choose_many(
+        self, objs: Sequence[UncertainObject], dataset: UncertainDataset
+    ) -> list[CSet]:
+        if kernel_name() == "c":
+            return _select_compiled(
+                objs, dataset, self.kglobal, self.kpartition
+            )
+        return [self._choose_numpy(obj, dataset) for obj in objs]
+
+    def _choose_numpy(
         self, obj: UncertainObject, dataset: UncertainDataset
     ) -> CSet:
         ids, los, his = dataset.packed_regions()
@@ -207,13 +279,3 @@ class IncrementalSelection(CSetStrategy):
             keep[done[0] + 1:] = False
         rows = rows[keep]
         return CSet(ids=ids[rows], los=los[rows], his=his[rows])
-
-    @staticmethod
-    def _touched_partitions(
-        cand: UncertainObject, mean: np.ndarray, d: int
-    ) -> list[int]:
-        """Indices of the 2^d quadrants intersected by ``u(cand)``."""
-        mask = _quadrant_mask(
-            cand.region.lo[None, :], cand.region.hi[None, :], mean
-        )
-        return np.flatnonzero(mask[0]).tolist()

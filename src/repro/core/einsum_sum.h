@@ -1,8 +1,8 @@
 /* numpy's float64 einsum inner product, shared by the compiled loops.
  *
- * se_kernel.c uses it for witness distances and step2_kernel.c for
- * query-instance distances, so both round exactly like the numpy code
- * they replace.
+ * cset_kernel.c uses it for centre distances, se_kernel.c for witness
+ * distances and step2_kernel.c for query-instance distances, so all
+ * three round exactly like the numpy code they replace.
  */
 
 #ifndef REPRO_EINSUM_SUM_H

@@ -23,13 +23,18 @@ Discussions).  The emptiness test is the domination-count estimation of
 only inflate the final UBR, never make it miss part of the cell.
 
 The incremental variants of Section VI-B reuse the same loop with warm
-starts: after a *deletion* the cell can only grow (Lemma 9), so the old
-UBR becomes the new lower bound ``l(o)``; after an *insertion* the cell
-can only shrink, so the old UBR becomes the new upper bound ``h(o)``.
+starts (the ``lowers`` / ``uppers`` of :meth:`ShrinkExpand.compute_ubrs`):
+after a *deletion* the cell can only grow (Lemma 9), so the old UBR
+becomes the new lower bound ``l(o)``; after an *insertion* the cell can
+only shrink, so the old UBR becomes the new upper bound ``h(o)``.
 
-Objects are independent, so :meth:`ShrinkExpand.refine_many` packs
-many of them into padded ``(objects, C-set, d)`` tensors and hands the
-whole batch to one row loop.  There are two, with identical results:
+Objects are independent, so :meth:`ShrinkExpand.compute_ubrs` chooses
+the C-sets of a block of objects in one
+:meth:`~repro.core.cset.CSetStrategy.choose_many` call (FS and IS run
+the compiled selection, ``cset_kernel.c``), and
+:meth:`ShrinkExpand.refine_many` packs many objects into padded
+``(objects, C-set, d)`` tensors and hands the whole batch to one row
+loop.  There are two row loops, with identical results:
 
 * **The compiled loop** (``se_kernel.c``, built and loaded by
   :mod:`repro.core.sekernel`) runs every row to its stopping point in
@@ -49,13 +54,15 @@ whole batch to one row loop.  There are two, with identical results:
   running.  It is the fallback and the compiled loop's test oracle.
 
 The compiled loop is built on the first SE or Step-2 call of each
-process (about 0.25-0.5 s of gcc, once, together with the Step-2 walk)
-into a temporary directory that is removed right after loading.  When
-that fails (no compiler, ``CC`` naming one that fails, an unwritable
-temporary directory, a ``noexec`` mount), SE runs the numpy loop;
-:func:`kernel_name` and ``Database.describe()["kernel"]`` say which one
-is in use.  Either way every object's sequence of decisions is exactly
-the one-object loop's, so the UBRs are too.
+process (about 0.3-0.6 s of gcc, once, in one library with the C-set
+selection and the Step-2 walk: the three compiled loops) into a
+temporary directory that is removed right after loading.  When that
+fails (no compiler, ``CC`` naming one that fails, an unwritable
+temporary directory, a ``noexec`` mount), SE runs the numpy loop and
+the numpy C-set selection; :func:`kernel_name` and
+``Database.describe()["kernel"]`` say which ones are in use, for all
+three loops.  Either way every object's C-set and sequence of
+decisions are exactly the one-object loop's, so the UBRs are too.
 """
 
 from __future__ import annotations
@@ -91,6 +98,11 @@ __all__ = [
 #: keeps a whole-dataset build from materialising every C-set's
 #: partition grid at once.
 CHUNK_ELEMENTS = 1 << 18
+
+#: Objects whose C-sets one ``choose_many`` call picks.  A write's
+#: affected set is one block; a whole-dataset build is many, so it
+#: never holds every C-set at once.
+SELECT_BLOCK = 256
 
 
 def refine_rows_numpy(
@@ -300,9 +312,11 @@ class ShrinkExpand:
         """Run SE for every object of ``objs`` against ``dataset``.
 
         ``lowers`` / ``uppers`` are the warm starts (default ``u(o)`` and
-        the domain ``D``; see :meth:`refine_many`).  C-sets are chosen
-        one object at a time, and objects are refined in lockstep
-        batches bounded by :data:`CHUNK_ELEMENTS`.
+        the domain ``D``; see :meth:`refine_many`): after a deletion
+        the old UBRs are the lower bounds, after an insertion the upper
+        bounds (Lemma 9).  C-sets are chosen :data:`SELECT_BLOCK`
+        objects per ``choose_many`` call, and objects are refined in
+        lockstep batches bounded by :data:`CHUNK_ELEMENTS`.
         """
         d = dataset.dims
         per_cand = d * max(5 * self.config.m_max, (1 << d) + 1)
@@ -322,17 +336,23 @@ class ShrinkExpand:
             self.stats.ubr_seconds += time.perf_counter() - t0
 
         first, csets, widest = 0, [], 1
-        for i, obj in enumerate(objs):
+        for block in range(0, len(objs), SELECT_BLOCK):
             t0 = time.perf_counter()
-            cset = self.strategy.choose(obj, dataset)
+            chosen = self.strategy.choose_many(
+                objs[block:block + SELECT_BLOCK], dataset
+            )
             self.stats.choose_cset_seconds += time.perf_counter() - t0
-            self.stats.runs += 1
-            self.stats.cset_size_total += len(cset)
-            widest = max(widest, len(cset))
-            if csets and (len(csets) + 1) * widest * per_cand > CHUNK_ELEMENTS:
-                refine(first, i, csets)
-                first, csets, widest = i, [], max(1, len(cset))
-            csets.append(cset)
+            self.stats.runs += len(chosen)
+            for cset in chosen:
+                self.stats.cset_size_total += len(cset)
+                widest = max(widest, len(cset))
+                if (csets and (len(csets) + 1) * widest * per_cand
+                        > CHUNK_ELEMENTS):
+                    refine(first, first + len(csets), csets)
+                    first, csets, widest = (
+                        first + len(csets), [], max(1, len(cset))
+                    )
+                csets.append(cset)
         if csets:
             refine(first, len(objs), csets)
         return results
@@ -418,33 +438,3 @@ class ShrinkExpand:
             )
             for i in range(k)
         ]
-
-    # ------------------------------------------------------------------
-    # Incremental variants (Section VI-B)
-    # ------------------------------------------------------------------
-    def recompute_after_deletion(
-        self,
-        obj: UncertainObject,
-        dataset: UncertainDataset,
-        old_ubr: Rect,
-    ) -> SEResult:
-        """New UBR of an affected object after a deletion.
-
-        By Lemma 9 the PV-cell cannot shrink, so ``old_ubr`` (which
-        contained the old cell and is contained in the new MBR's upper
-        bound region only as a *lower* bound) warm-starts ``l(o)``.
-        """
-        return self.compute_ubrs([obj], dataset, lowers=[old_ubr])[0]
-
-    def recompute_after_insertion(
-        self,
-        obj: UncertainObject,
-        dataset: UncertainDataset,
-        old_ubr: Rect,
-    ) -> SEResult:
-        """New UBR of an affected object after an insertion.
-
-        By Lemma 9 the PV-cell cannot grow, so ``old_ubr`` warm-starts
-        ``h(o)`` — SE starts from a much smaller upper bound than ``D``.
-        """
-        return self.compute_ubrs([obj], dataset, uppers=[old_ubr])[0]

@@ -1,17 +1,19 @@
 """Build and load the compiled loops, and call them.
 
-``se_kernel.c`` (next to this file, the Shrink-and-Expand row loop) and
-``engine/step2_kernel.c`` (the Step-2 log walk) are compiled together
-on first use in each process: one run of the compiler named by the
-conventional ``CC`` variable (default ``gcc``) writes one shared
-library into a fresh temporary directory, :class:`ctypes.CDLL` maps it,
-and the directory is deleted at once, so nothing stays on disk and no
-cache can go stale or race another process.  :func:`load` returns
-``None`` when any step fails (no compiler, an unwritable temporary
-directory, a ``noexec`` mount), and :mod:`repro.core.se` and
+Three loops share one library: ``cset_kernel.c`` (next to this file,
+the FS/IS C-set selection), ``se_kernel.c`` (the Shrink-and-Expand row
+loop) and ``engine/step2_kernel.c`` (the Step-2 log walk).  They are
+compiled together on first use in each process: one run of the
+compiler named by the conventional ``CC`` variable (default ``gcc``)
+writes one shared library into a fresh temporary directory,
+:class:`ctypes.CDLL` maps it, and the directory is deleted at once, so
+nothing stays on disk and no cache can go stale or race another
+process.  :func:`load` returns ``None`` when any step fails (no
+compiler, an unwritable temporary directory, a ``noexec`` mount), and
+:mod:`repro.core.cset`, :mod:`repro.core.se` and
 :mod:`repro.engine.batch` then run their numpy code instead.  The
 outcome is decided once per process, under a lock, and
-:func:`kernel_name` reports it.
+:func:`kernel_name` reports it for all three loops.
 
 ctypes releases the GIL for the length of a call, so two serving
 threads can run the loops at once; each call allocates its own scratch.
@@ -31,12 +33,14 @@ import numpy as np
 from ..analysis.locks import make_lock
 
 __all__ = [
-    "SOURCES", "CFLAGS", "kernel_name", "load", "refine_rows", "step2_walk",
+    "SOURCES", "CFLAGS", "kernel_name", "load", "refine_rows",
+    "select_csets", "step2_walk",
 ]
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 #: The C sources of the one library (``einsum_sum.h`` is included).
 SOURCES = (
+    os.path.join(_HERE, "cset_kernel.c"),
     os.path.join(_HERE, "se_kernel.c"),
     os.path.join(os.path.dirname(_HERE), "engine", "step2_kernel.c"),
 )
@@ -61,7 +65,8 @@ def load() -> ctypes.CDLL | None:
 
 def kernel_name() -> str:
     """Which loops this process runs: ``"c"`` when the library built
-    and loaded, otherwise ``"numpy"`` (for SE and Step 2 alike)."""
+    and loaded, otherwise ``"numpy"`` (for C-set selection, SE and
+    Step 2 alike)."""
     return "c" if load() is not None else "numpy"
 
 
@@ -91,6 +96,10 @@ def _build() -> ctypes.CDLL | None:
     )
     lib.step2_walk.restype = ctypes.c_int
     lib.step2_walk.argtypes = [i64] * 3 + [ptr] * 6 + [i64, ptr, ptr]
+    lib.cset_select.restype = ctypes.c_int
+    lib.cset_select.argtypes = (
+        [i64] * 2 + [ptr] * 3 + [i64] + [ptr] * 3 + [i64] * 2 + [ptr] * 2
+    )
     return lib
 
 
@@ -141,6 +150,49 @@ def refine_rows(
         raise MemoryError("the compiled SE loop could not allocate scratch")
     tests, shrinks, expands = (int(c) for c in counts)
     return iterations, (tests, shrinks, expands)
+
+
+def select_csets(
+    ids: np.ndarray,
+    los: np.ndarray,
+    his: np.ndarray,
+    oids: np.ndarray,
+    o_lo: np.ndarray,
+    o_hi: np.ndarray,
+    limit: int,
+    kpartition: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The compiled FS/IS C-set selection for ``k`` objects.
+
+    ``ids``, ``los`` and ``his`` are the dataset's packed regions,
+    read in place; ``oids`` (``(k,)``), ``o_lo`` and ``o_hi``
+    (``(k, d)``) the objects'.  Each object ranks the other rows by
+    centre distance and examines its first ``limit``: IS
+    (``kpartition > 0``) keeps the quadrant-balanced, non-overlapping
+    ones up to its stopping point, FS (``kpartition == 0``) keeps them
+    all.  Returns ``(rows, counts)``: the selected rows of every object,
+    one object after another, and how many each has.
+    """
+    lib = load()
+    if lib is None:
+        raise RuntimeError("the compiled C-set selection is not available")
+    n, d = los.shape
+    k = len(oids)
+    if ids.shape != (n,) or his.shape != (n, d):
+        raise ValueError("ids, los and his disagree in shape")
+    if o_lo.shape != (k, d) or o_hi.shape != (k, d):
+        raise ValueError("object regions disagree in shape")
+    rows = np.empty(k * min(limit, n), dtype=np.int64)
+    counts = np.empty(k, dtype=np.int64)
+    f8, i8 = np.float64, np.int64
+    status = lib.cset_select(
+        n, d, _ptr(ids, i8), _ptr(los, f8), _ptr(his, f8), k,
+        _ptr(oids, i8), _ptr(o_lo, f8), _ptr(o_hi, f8), int(limit),
+        int(kpartition), _ptr(rows, i8), _ptr(counts, i8),
+    )
+    if status != 0:
+        raise MemoryError("the compiled C-set selection could not allocate")
+    return rows[: int(counts.sum())], counts
 
 
 def step2_walk(

@@ -201,6 +201,9 @@ class _RTreeBackedStrategy(CSetStrategy):
                 self._tree.insert(o.oid, Rect.from_point(o.mean))
         self._epoch = dataset.epoch
 
+    def choose_many(self, objs, dataset) -> list[CSet]:
+        return [self.choose(o, dataset) for o in objs]
+
     def _ensure_tree(self, dataset) -> RStarTree:
         self.bind(dataset)
         assert self._tree is not None
@@ -326,12 +329,6 @@ class ReferenceShrinkExpand:
 
     def compute_ubr(self, obj, dataset) -> SEResult:
         return self._run(obj, dataset, obj.region, dataset.domain)
-
-    def recompute_after_deletion(self, obj, dataset, old_ubr) -> SEResult:
-        return self._run(obj, dataset, old_ubr, dataset.domain)
-
-    def recompute_after_insertion(self, obj, dataset, old_ubr) -> SEResult:
-        return self._run(obj, dataset, obj.region, old_ubr)
 
     def _run(self, obj, dataset, lower, upper) -> SEResult:
         t0 = time.perf_counter()

@@ -301,8 +301,9 @@ class TestSurface:
         assert db.explain(kind).params == executed.params
 
     def test_describe_names_the_kernel(self, db, monkeypatch):
-        """describe() says whether the compiled loops (SE and the
-        Step-2 walk) run: "c" when the library built in this process."""
+        """describe() says whether the compiled loops (C-set selection,
+        SE and the Step-2 walk) run: "c" when the library built in this
+        process."""
         from repro.core import sekernel
 
         built = sekernel.load() is not None

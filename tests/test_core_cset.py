@@ -12,7 +12,7 @@ from repro import (
     UncertainObject,
     synthetic_dataset,
 )
-from repro.core.cset import CSet, rank_by_mean
+from repro.core.cset import CSet, _quadrant_mask, rank_by_mean
 from reference_se import RTreeFixedSelection, RTreeIncrementalSelection
 from repro.uncertain import uniform_pdf
 
@@ -129,18 +129,23 @@ class TestIncrementalSelection:
         with pytest.raises(ValueError):
             IncrementalSelection(kglobal=0)
 
+    @staticmethod
+    def _touched(cand, mean):
+        mask = _quadrant_mask(
+            cand.region.lo[None, :], cand.region.hi[None, :], mean
+        )
+        return np.flatnonzero(mask[0]).tolist()
+
     def test_touched_partitions_straddling(self):
         mean = np.array([50.0, 50.0])
         cand = make_obj(1, [50, 70], half=5)  # straddles x-split plane
-        parts = IncrementalSelection._touched_partitions(cand, mean, 2)
         # Above the y plane (bit 1 set), both sides of x plane.
-        assert sorted(parts) == [2, 3]
+        assert self._touched(cand, mean) == [2, 3]
 
     def test_touched_partitions_single(self):
         mean = np.array([50.0, 50.0])
         cand = make_obj(1, [70, 70], half=1)
-        parts = IncrementalSelection._touched_partitions(cand, mean, 2)
-        assert parts == [3]
+        assert self._touched(cand, mean) == [3]
 
     def test_choose_follows_insert_and_delete(self):
         """The ranking reads the live dataset: a new neighbour is chosen

@@ -181,10 +181,10 @@ class TestTightness:
         ds = UncertainDataset([o, o1, o2], domain=Rect.cube(0, 100, 2))
 
         class OnlyOverlapping(AllCSet):
-            def choose(self, obj, dataset):
+            def choose_many(self, objs, dataset):
                 from repro.core.cset import CSet
 
-                return CSet.from_objects([dataset[1]])
+                return [CSet.from_objects([dataset[1]]) for _ in objs]
 
         se = ShrinkExpand(OnlyOverlapping(), SEConfig(delta=1.0))
         result = se.compute_ubr(o, ds)
@@ -206,8 +206,8 @@ class TestIncrementalVariants:
         }
         ds.delete(victim)
         for oid in ds.ids[:6]:
-            result = se.recompute_after_deletion(
-                ds[oid], ds, old_ubr=old_ubrs[oid]
+            [result] = se.compute_ubrs(
+                [ds[oid]], ds, lowers=[old_ubrs[oid]]
             )
             assert_conservative(ds, oid, result.ubr, seed=oid)
             # Lemma 9: the cell cannot shrink, so the new UBR must still
@@ -223,8 +223,8 @@ class TestIncrementalVariants:
         new_obj = make_obj(9999, [5000, 5000], half=30)
         ds.insert(new_obj)
         for oid in ds.ids[:6]:
-            result = se.recompute_after_insertion(
-                ds[oid], ds, old_ubr=old_ubrs[oid]
+            [result] = se.compute_ubrs(
+                [ds[oid]], ds, uppers=[old_ubrs[oid]]
             )
             assert_conservative(ds, oid, result.ubr, seed=oid)
             # Lemma 9: the cell cannot grow.

@@ -1,8 +1,8 @@
 """``setup.py build`` ships the C kernel sources with the package.
 
-``repro.core.sekernel`` compiles the Shrink-and-Expand loop and the
-Step-2 log walk from ``.c``/``.h`` files next to the installed
-modules; a build that leaves them out makes every installed copy run
+``repro.core.sekernel`` compiles the C-set selection, the
+Shrink-and-Expand loop and the Step-2 log walk from ``.c``/``.h`` files
+next to the installed modules; a build that leaves them out makes every installed copy run
 the numpy fallbacks without a word.  The build runs in a temporary
 copy of ``setup.py`` and ``src/``, so the working tree is not touched.
 """

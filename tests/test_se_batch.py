@@ -12,7 +12,9 @@ batched emptiness test is pinned row by row against the scalar
 PV-index churn run is replayed through the reference to check that
 maintenance ends with identical UBRs and counters.  The same churn
 pins the packed Lemma 8 filter against the per-object loop it replaced
-(``tests/reference_step1.py``).
+(``tests/reference_step1.py``), and checks that a churn with the
+compiled C-set selection leaves the index exactly as one with the
+numpy strategies does.
 """
 
 import contextlib
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.cset as cset_module
 import repro.core.pvindex as pvindex_module
 import repro.core.se as se_module
 from reference_se import (
@@ -514,3 +517,54 @@ def test_affected_filter_matches_per_object_reference(dims, monkeypatch):
     assert new.stats.update_affected > 0
     assert new.pager.stats.reads == ref.pager.stats.reads
     assert new.pager.stats.writes == ref.pager.stats.writes
+
+
+def _leaves(index):
+    """Every octree leaf's region and entries, as comparable bytes."""
+    return [
+        (leaf.region.lo.tobytes(), leaf.region.hi.tobytes(),
+         [(oid, r.lo.tobytes(), r.hi.tobytes()) for oid, r, _ in leaf.peek()])
+        for leaf in index.primary.iter_leaves()
+    ]
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize(
+    "strategy",
+    [lambda: IncrementalSelection(kpartition=3, kglobal=30),
+     lambda: FixedSelection(k=12)],
+    ids=["IS", "FS"],
+)
+def test_churn_is_identical_on_either_selection(dims, strategy, monkeypatch):
+    """A build and a seeded insert/delete churn with the compiled C-set
+    selection and with the numpy strategies: the same UBRs, octree
+    leaves, pages, maintenance counters and SE counters."""
+    if not HAVE_C:
+        pytest.skip("the compiled selection did not build here")
+    config = SEConfig(delta=25.0, m_max=6)
+
+    def run(name):
+        with monkeypatch.context() as patch:
+            patch.setattr(cset_module, "kernel_name", lambda: name)
+            ds = synthetic_dataset(n=40, dims=dims, u_max=300, n_samples=2,
+                                   seed=31)
+            index = PVIndex.build(ds, strategy=strategy(), se_config=config)
+            extra = synthetic_dataset(n=60, dims=dims, u_max=300,
+                                      n_samples=2, seed=32)
+            _churn(index, extra, n_deletes=20)
+        return index
+
+    new, ref = run("c"), run("numpy")
+    assert new.dataset.ids == ref.dataset.ids
+    for oid in ref.dataset.ids:
+        a, b = new.ubr_of(oid), ref.ubr_of(oid)
+        assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+    assert _leaves(new) == _leaves(ref)
+    assert new.pager.n_pages == ref.pager.n_pages
+    assert new.pager.stats.reads == ref.pager.stats.reads
+    assert new.pager.stats.writes == ref.pager.stats.writes
+    for name in ("update_examined", "update_affected", "cells_recomputed"):
+        assert getattr(new.stats, name) == getattr(ref.stats, name), name
+    assert new.stats.update_affected > 0
+    assert_same_counters(new.se.stats, ref.se.stats)
+    assert new.se.stats.cset_size_total == ref.se.stats.cset_size_total
